@@ -14,13 +14,14 @@ Exit codes: 0 success, 2 bad input (parse or validation failure),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, load_channel, tensor, tp_residual, validate
+from .channels import Channel, _matrix_to_wire, load_channel, tensor, tp_residual, validate
 from .entropy import entanglement
 from .fixtures import FIXTURE_NAMES, fixture_channel
 from .solver import CapacityResult, SolverConfig, initial_ensemble, multi_start, run
@@ -32,36 +33,36 @@ class InputError(ValueError):
     """Bad channel file, descriptor or flag combination."""
 
 
-def _resolve_channel(arg: str) -> Channel:
-    # Accept a descriptor path or a built-in name like "gamma2".
+def _channel(arg: str, usable: bool = True) -> Channel:
+    # Accept a descriptor path or a built-in name like "gamma2".  A usable
+    # channel must be trace preserving; a non-PSD Choi operator only draws
+    # a warning so that signed maps stay usable end to end.
     if arg in FIXTURE_NAMES and not Path(arg).exists():
-        return fixture_channel(arg)
-    if not Path(arg).exists():
+        ch = fixture_channel(arg)
+    elif not Path(arg).exists():
         raise InputError(f"no such channel file or built-in name: {arg}")
-    try:
-        ch = load_channel(arg, allow_non_cp=True)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    return ch
-
-
-def _require_usable(ch: Channel, label: str) -> None:
-    # Trace preservation is a hard requirement; a non-PSD Choi operator
-    # only draws a warning so that signed maps stay usable end to end.
+    else:
+        try:
+            ch = load_channel(arg, allow_non_cp=True)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+    if not usable:
+        return ch
     resid = tp_residual(ch)
     if resid > 1e-9:
-        raise InputError(f"{label}: not trace preserving (residual {resid:.3e})")
+        raise InputError(f"{arg}: not trace preserving (residual {resid:.3e})")
     report = validate(ch)
     if not report.cp_ok:
         print(
-            f"warning: {label}: not completely positive "
+            f"warning: {arg}: not completely positive "
             f"(min Choi eigenvalue {report.choi_min_eigenvalue:.6e}); "
             "proceeding with its signed form",
             file=sys.stderr,
         )
+    return ch
 
 
-def _config(args, dim: int | None = None) -> SolverConfig:
+def _config(args) -> SolverConfig:
     return SolverConfig(
         n_states=args.states,
         starts=args.starts,
@@ -72,10 +73,6 @@ def _config(args, dim: int | None = None) -> SolverConfig:
     )
 
 
-def _wire_complex_matrix(M) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
-
-
 def _result_fields(res: CapacityResult) -> dict:
     return {
         "capacity_nats": res.capacity,
@@ -84,17 +81,19 @@ def _result_fields(res: CapacityResult) -> dict:
         "start_index": res.start_index,
         "ensemble": {
             "weights": [float(w) for w in res.ensemble.weights],
-            "states": [_wire_complex_matrix(S) for S in res.ensemble.states],
+            "states": [_matrix_to_wire(S) for S in res.ensemble.states],
         },
     }
 
 
-def _emit_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _emit(report: dict | str, out: str | None) -> None:
+    # JSON reports and CSV traces share one stdout-or-file path.
+    if not isinstance(report, str):
+        report = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
 
 
 def _trace_rows(res: CapacityResult) -> str:
@@ -116,24 +115,21 @@ def _strict_exit(args, *results: CapacityResult) -> int:
 
 
 def cmd_capacity(args) -> int:
-    ch = _resolve_channel(args.channel)
-    _require_usable(ch, args.channel)
+    ch = _channel(args.channel)
     res = multi_start(ch, _config(args))
     if args.trace:
         Path(args.trace).write_text(_trace_rows(res))
-    _emit_report(_result_fields(res), args.out)
+    _emit(_result_fields(res), args.out)
     return _strict_exit(args, res)
 
 
 def cmd_additivity(args) -> int:
-    lhs = _resolve_channel(args.lhs)
-    rhs = _resolve_channel(args.rhs)
-    _require_usable(lhs, args.lhs)
-    _require_usable(rhs, args.rhs)
-    r1 = multi_start(lhs, SolverConfig(seed=args.seed, decimal_places=args.places,
-                                       patience=args.patience, max_iters=args.max_iters))
-    r2 = multi_start(rhs, SolverConfig(seed=args.seed, decimal_places=args.places,
-                                       patience=args.patience, max_iters=args.max_iters))
+    lhs = _channel(args.lhs)
+    rhs = _channel(args.rhs)
+    # --states and --starts size the product solve; the factors keep their defaults.
+    marginal = dataclasses.replace(_config(args), n_states=None, starts=None)
+    r1 = multi_start(lhs, marginal)
+    r2 = multi_start(rhs, marginal)
     prod = tensor(lhs, rhs)
     dims = (lhs.dim_in, rhs.dim_in)
     rp = multi_start(prod, _config(args), ent_dims=dims)
@@ -150,13 +146,12 @@ def cmd_additivity(args) -> int:
     )
     if args.trace:
         Path(args.trace).write_text(_trace_rows(rp))
-    _emit_report(report, args.out)
+    _emit(report, args.out)
     return _strict_exit(args, r1, r2, rp)
 
 
 def cmd_regularized(args) -> int:
-    ch = _resolve_channel(args.channel)
-    _require_usable(ch, args.channel)
+    ch = _channel(args.channel)
     if args.copies < 1:
         raise InputError("--copies must be at least 1")
     if ch.dim_in**args.copies > MAX_PRODUCT_DIM:
@@ -166,8 +161,7 @@ def cmd_regularized(args) -> int:
         )
     if ch.dim_in**args.copies >= 8:
         print("note: this many copies is slow; expect a long solve", file=sys.stderr)
-    single = multi_start(ch, SolverConfig(seed=args.seed, decimal_places=args.places,
-                                          patience=args.patience, max_iters=args.max_iters))
+    single = multi_start(ch, dataclasses.replace(_config(args), n_states=None, starts=None))
     prod = ch
     for _ in range(args.copies - 1):
         prod = tensor(prod, ch)
@@ -180,31 +174,25 @@ def cmd_regularized(args) -> int:
             "single_copy_capacity_nats": single.capacity,
         }
     )
-    _emit_report(report, args.out)
+    _emit(report, args.out)
     return _strict_exit(args, single, res)
 
 
 def cmd_trace(args) -> int:
-    lhs = _resolve_channel(args.lhs)
-    rhs = _resolve_channel(args.rhs)
-    _require_usable(lhs, args.lhs)
-    _require_usable(rhs, args.rhs)
+    lhs = _channel(args.lhs)
+    rhs = _channel(args.rhs)
     prod = tensor(lhs, rhs)
     cfg = _config(args).resolved(prod)
     init = initial_ensemble(prod.dim_in, cfg.n_states, cfg.seed, 0)
     res = run(prod, init, cfg, ent_dims=(lhs.dim_in, rhs.dim_in))
-    text = _trace_rows(res)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(_trace_rows(res), args.out)
     return _strict_exit(args, res)
 
 
 def cmd_validate(args) -> int:
-    ch = _resolve_channel(args.channel)
+    ch = _channel(args.channel, usable=False)
     report = validate(ch)
-    _emit_report(
+    _emit(
         {
             "name": ch.name,
             "tp_residual": report.tp_residual,
@@ -280,18 +268,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except np.linalg.LinAlgError as exc:
+        # Before ValueError, which LinAlgError subclasses.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

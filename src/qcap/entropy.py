@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _apply_batch, apply
-from .linalg import LOG_FLOOR, _log_psd_batch, _log_psd_one, matrix_log_psd, trace_product
+from .linalg import LOG_FLOOR, _log_psd_batch, matrix_log_psd, trace_product
 
 WEIGHT_ATOL = 1e-9
 
@@ -61,6 +61,15 @@ def rel_entropy(rho: np.ndarray, sigma: np.ndarray, floor: float = LOG_FLOOR) ->
     return trace_product(np.asarray(rho, dtype=complex), diff).real
 
 
+def _holevo_terms(weights: np.ndarray, states: np.ndarray, ch: Channel):
+    # The one place the iteration's maths lives: outputs `G(s_i)` and
+    # ascent operators `Phi_i = log G(s_i) - log G(rho_bar)`, with
+    # `G(rho_bar) = sum_i w_i G(s_i)`.  Logs are clamped at LOG_FLOOR.
+    outs = _apply_batch(ch, states)
+    out_bar = np.einsum("n,nab->ab", weights, outs)
+    return outs, _log_psd_batch(outs) - _log_psd_batch(out_bar[None])
+
+
 def mutual_info(pi: Ensemble, ch: Channel) -> float:
     """Holevo mutual information `sum_i w_i D(G(s_i) || G(rho_bar))`.
 
@@ -68,17 +77,15 @@ def mutual_info(pi: Ensemble, ch: Channel) -> float:
     unused states does not change the value.
     """
     mask = pi.weights > 0
-    outs = _apply_batch(ch, pi.states[mask])
-    out_bar = np.einsum("n,nab->ab", pi.weights[mask], outs)
-    logs = _log_psd_batch(outs)
-    log_bar = _log_psd_one(out_bar)
-    terms = np.einsum("nab,nba->n", outs, logs - log_bar[None]).real
-    return float(pi.weights[mask] @ terms)
+    w = pi.weights[mask]
+    outs, phis = _holevo_terms(w, pi.states[mask], ch)
+    return float(w @ np.einsum("nab,nba->n", outs, phis).real)
 
 
 def phi_operator(sigma_p: np.ndarray, rho_p: np.ndarray, ch: Channel) -> np.ndarray:
     """`Phi = log G(sigma') - log G(rho')`, the solver's ascent direction seed."""
-    return _log_psd_one(apply(ch, sigma_p)) - _log_psd_one(apply(ch, rho_p))
+    logs = _log_psd_batch(np.stack([apply(ch, sigma_p), apply(ch, rho_p)]))
+    return logs[0] - logs[1]
 
 
 def j_functional(pi: Ensemble, pi_p: Ensemble, ch: Channel) -> float:
@@ -98,9 +105,8 @@ def j_functional(pi: Ensemble, pi_p: Ensemble, ch: Channel) -> float:
     with np.errstate(divide="ignore"):
         classical = float(w[mask] @ (np.log(w[mask]) - np.log(wp[mask])))
     outs = _apply_batch(ch, pi.states[mask])
-    log_bar = _log_psd_one(apply(ch, pi_p.average_state()))
-    phis = _log_psd_batch(_apply_batch(ch, pi_p.states[mask])) - log_bar[None]
-    quantum = float(w[mask] @ np.einsum("nab,nba->n", outs, phis).real)
+    _, phis = _holevo_terms(wp, pi_p.states, ch)
+    quantum = float(w[mask] @ np.einsum("nab,nba->n", outs, phis[mask]).real)
     return -classical + quantum
 
 

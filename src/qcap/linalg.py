@@ -39,13 +39,13 @@ def _require_hermitian(M: np.ndarray, name: str, atol: float = HERM_ATOL) -> np.
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, `(M + M†)/2`.
+    """Project onto the Hermitian part, `(M + M†)/2`, of a matrix or a stack.
 
     Used to scrub the order-1e-16 asymmetry that accumulates in products
-    of Hermitian factors before feeding them back into `herm_eig`.
+    of Hermitian factors before feeding them back into an eigensolver.
     """
     M = np.asarray(M)
-    return (M + M.conj().T) / 2
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def herm_eig(H: np.ndarray) -> EigenDecomposition:
@@ -81,11 +81,11 @@ def matrix_log_psd(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
     log on their kernel.  An eigenvalue below -1e-9 means the input is
     not PSD and raises ValueError.
     """
-    w, V = herm_eig(P)
-    if w[-1] < -PSD_ATOL:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[-1]:.3e})")
-    logs = np.log(np.maximum(w, floor))
-    return hermitize((V * logs) @ V.conj().T)
+    P = _require_hermitian(P, "P")
+    w_min = np.linalg.eigvalsh(P)[0]
+    if w_min < -PSD_ATOL:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w_min:.3e})")
+    return _log_psd_batch(P[None], floor)[0]
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -129,10 +129,4 @@ def _log_psd_batch(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
     # needs the clamped log there.
     w, V = np.linalg.eigh(P)
     logs = np.log(np.maximum(w, floor))
-    out = (V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
-
-
-def _log_psd_one(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
-    # Single-matrix view of _log_psd_batch, same clamping semantics.
-    return _log_psd_batch(np.asarray(P, dtype=complex)[None], floor)[0]
+    return hermitize((V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2))

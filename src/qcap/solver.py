@@ -21,9 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _apply_batch
-from .entropy import Ensemble, entanglement, mutual_info
-from .linalg import LOG_FLOOR, _log_psd_batch, _log_psd_one
+from .channels import Channel, _apply_batch, _dual_apply_batch
+from .entropy import Ensemble, _holevo_terms, entanglement, mutual_info
+from .linalg import hermitize
+
+# Not called here, but bench/tracing.py wraps this binding, so it stays.
+from .linalg import _log_psd_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,6 @@ class SolverConfig:
     decimal_places: int = 6
     patience: int = 10
     max_iters: int = 100000
-    log_floor: float = LOG_FLOOR
     weight_floor: float = 0.0
 
     def resolved(self, ch: Channel) -> "SolverConfig":
@@ -46,8 +48,8 @@ class SolverConfig:
             raise ValueError("n_states, starts and max_iters must be positive")
         if self.patience < 2:
             raise ValueError("patience must be at least 2")
-        if self.log_floor <= 0 or self.weight_floor < 0:
-            raise ValueError("log_floor must be positive and weight_floor nonnegative")
+        if self.weight_floor < 0:
+            raise ValueError("weight_floor must be nonnegative")
         return dataclasses.replace(self, n_states=n, starts=s)
 
 
@@ -137,12 +139,8 @@ def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> En
     """
     if pi.dim != ch.dim_in:
         raise ValueError(f"ensemble dimension {pi.dim} != channel input {ch.dim_in}")
-    outs = _apply_batch(ch, pi.states)
-    out_bar = np.einsum("n,nab->ab", pi.weights, outs)
-    phis = _log_psd_batch(outs, cfg.log_floor) - _log_psd_one(out_bar, cfg.log_floor)[None]
-    V = ch.kraus
-    duals = np.einsum("k,kba,nbc,kcd->nad", ch.signs, V.conj(), phis, V, optimize=True)
-    _, vecs = np.linalg.eigh((duals + duals.conj().swapaxes(-1, -2)) / 2)
+    _, phis = _holevo_terms(pi.weights, pi.states, ch)
+    _, vecs = np.linalg.eigh(hermitize(_dual_apply_batch(ch, phis)))
     psi = vecs[..., -1]
     new_states = np.einsum("na,nb->nab", psi, psi.conj())
     scores = np.einsum("nab,nba->n", _apply_batch(ch, new_states), phis).real

@@ -284,6 +284,16 @@ class TestDescriptors:
                 {"kind": "kraus", "kraus": [[[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
             )
 
+    def test_rejects_non_finite_entries(self):
+        K = np.eye(2, dtype=complex)[None]
+        K[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"kraus has 1 non-finite entries, the first at \(0, 1, 0\)"):
+            Channel(K)
+        with pytest.raises(ValueError, match=r"A has 1 non-finite entries, the first at \(2, 2\)"):
+            AffineQubit(np.diag([1.0, 1.0, np.inf]), np.zeros(3))
+        with pytest.raises(ValueError, match=r"b has 1 non-finite entries, the first at \(1,\)"):
+            AffineQubit(np.eye(3), np.array([0.0, np.nan, 0.0]))
+
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="object"):
             channel_from_dict([1, 2, 3])

@@ -267,6 +267,33 @@ class TestValidate:
         assert "JSON" in proc.stderr
 
 
+NON_FINITE_FILES = {
+    "kraus": '{"kind": "kraus", "kraus": [[[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}',
+    "affine": '{"kind": "affine_qubit", "affine": '
+              '{"A": [[Infinity, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0, 0, 0]}}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_FILES))
+def test_non_finite_channel_data_exits_2(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(NON_FINITE_FILES[kind])
+    proc = qcap_cmd("capacity", "--channel", str(path))
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+
+
+def test_numerical_failure_exits_3(monkeypatch, capsys):
+    from qcap import cli
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "multi_start", fail)
+    assert cli.main(["capacity", "--channel", "gamma1"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_no_command_exits_2():
     proc = qcap_cmd()
     assert proc.returncode == 2

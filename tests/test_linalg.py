@@ -164,3 +164,5 @@ def test_hermitize_projects(rng):
     H = hermitize(M)
     assert_allclose(H, H.conj().T, atol=1e-15)
     assert_allclose(hermitize(H), H, atol=1e-15)
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    assert_allclose(hermitize(stack), (stack + stack.conj().transpose(0, 2, 1)) / 2, atol=1e-15)

@@ -58,8 +58,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(patience=1).resolved(ch)
         with pytest.raises(ValueError):
-            SolverConfig(log_floor=0.0).resolved(ch)
-        with pytest.raises(ValueError):
             SolverConfig(weight_floor=-0.1).resolved(ch)
 
 
