@@ -22,9 +22,9 @@ WEIGHT_ATOL = 1e-9
 class Ensemble:
     """Finite input ensemble: weights `(n,)` over states `(n, d, d)`.
 
-    Weights must be nonnegative and sum to one within 1e-9; states must
-    carry unit trace.  Positivity of the states is not re-checked here
-    because the solver only ever produces outer products.
+    Weights must be finite, nonnegative and sum to one within 1e-9;
+    states must carry unit trace.  Positivity of the states is not
+    re-checked here because the solver only ever produces outer products.
     """
 
     weights: np.ndarray
@@ -35,10 +35,11 @@ class Ensemble:
         S = np.asarray(self.states, dtype=complex)
         if w.ndim != 1 or S.ndim != 3 or S.shape[0] != w.shape[0] or S.shape[1] != S.shape[2]:
             raise ValueError(f"inconsistent ensemble shapes {w.shape} / {S.shape}")
-        if w.min(initial=0.0) < -WEIGHT_ATOL or abs(w.sum() - 1.0) > WEIGHT_ATOL:
+        # Each check passes only when its comparison holds, so NaN fails it.
+        if not (w.min(initial=0.0) >= -WEIGHT_ATOL and abs(w.sum() - 1.0) <= WEIGHT_ATOL):
             raise ValueError("weights must be nonnegative and sum to 1")
         traces = np.einsum("ndd->n", S)
-        if S.shape[0] and np.abs(traces - 1.0).max() > WEIGHT_ATOL:
+        if S.shape[0] and not (np.abs(traces - 1.0).max() <= WEIGHT_ATOL):
             raise ValueError("states must have unit trace")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", S)
@@ -70,16 +71,27 @@ def _holevo_terms(weights: np.ndarray, states: np.ndarray, ch: Channel):
     return outs, _log_psd_batch(outs) - _log_psd_batch(out_bar[None])
 
 
+def _entropy_batch(stack: np.ndarray) -> np.ndarray:
+    # von Neumann entropies of a (n, d, d) stack, eigenvalues clamped at
+    # LOG_FLOOR inside the log exactly as `_log_psd_batch` clamps them.
+    w = np.linalg.eigvalsh(stack)
+    return -(w * np.log(np.maximum(w, LOG_FLOOR))).sum(axis=1)
+
+
 def mutual_info(pi: Ensemble, ch: Channel) -> float:
     """Holevo mutual information `sum_i w_i D(G(s_i) || G(rho_bar))`.
 
-    Zero-weight components are skipped, so padding an ensemble with
-    unused states does not change the value.
+    Since `G(rho_bar) = sum_i w_i G(s_i)`, this equals
+    `S(G(rho_bar)) - sum_i w_i S(G(s_i))` with the same clamped logs, so
+    it is computed from eigenvalues alone.  Zero-weight components are
+    skipped, so padding an ensemble with unused states does not change
+    the value.
     """
     mask = pi.weights > 0
     w = pi.weights[mask]
-    outs, phis = _holevo_terms(w, pi.states[mask], ch)
-    return float(w @ np.einsum("nab,nba->n", outs, phis).real)
+    outs = _apply_batch(ch, pi.states[mask])
+    out_bar = np.einsum("n,nab->ab", w, outs)
+    return float(_entropy_batch(out_bar[None])[0] - w @ _entropy_batch(outs))
 
 
 def phi_operator(sigma_p: np.ndarray, rho_p: np.ndarray, ch: Channel) -> np.ndarray:
@@ -124,10 +136,5 @@ def entanglement(pi: Ensemble, dim_a: int, dim_b: int) -> float:
     T = pi.states[mask].reshape(-1, da, db, da, db)
     rho_a = np.einsum("nabcb->nac", T)
     rho_b = np.einsum("nabad->nbd", T)
-
-    def batch_entropy(stack):
-        w = np.linalg.eigvalsh(stack)
-        return -(w * np.log(np.maximum(w, LOG_FLOOR))).sum(axis=1)
-
-    ent = batch_entropy(rho_a) + batch_entropy(rho_b) - batch_entropy(pi.states[mask])
+    ent = _entropy_batch(rho_a) + _entropy_batch(rho_b) - _entropy_batch(pi.states[mask])
     return float(pi.weights[mask] @ ent)

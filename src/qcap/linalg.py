@@ -33,7 +33,7 @@ def _require_square(M: np.ndarray, name: str) -> np.ndarray:
 def _require_hermitian(M: np.ndarray, name: str, atol: float = HERM_ATOL) -> np.ndarray:
     M = _require_square(M, name)
     dev = np.abs(M - M.conj().T).max() if M.size else 0.0
-    if dev > atol:
+    if not (dev <= atol):
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return M
 

@@ -28,6 +28,10 @@ from .linalg import hermitize
 # Not called here, but bench/tracing.py wraps this binding, so it stays.
 from .linalg import _log_psd_batch  # noqa: F401
 
+# A later start replaces the best one only when it gains more than this
+# many nats, so ties decided by rounding keep the earliest start.
+START_TIE_NATS = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -48,8 +52,8 @@ class SolverConfig:
             raise ValueError("n_states, starts and max_iters must be positive")
         if self.patience < 2:
             raise ValueError("patience must be at least 2")
-        if self.weight_floor < 0:
-            raise ValueError("weight_floor must be nonnegative")
+        if not (0 <= self.weight_floor < 1):
+            raise ValueError("weight_floor must be finite, nonnegative and below 1")
         return dataclasses.replace(self, n_states=n, starts=s)
 
 
@@ -163,6 +167,9 @@ def run(
     information of the returned ensemble itself, recorded before any
     further step.  When `ent_dims` is given the per-component
     entanglement of the ensemble is traced each iteration as well.
+
+    Raises `np.linalg.LinAlgError` if the mutual information is not
+    finite.
     """
     if init.dim != ch.dim_in:
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
@@ -176,6 +183,8 @@ def run(
     for k in range(1, cfg.max_iters + 1):
         iterations = k
         value = mutual_info(pi, ch)
+        if not np.isfinite(value):
+            raise np.linalg.LinAlgError(f"mutual information is {value} at iteration {k}")
         values.append(value)
         if ents is not None:
             ents.append(entanglement(pi, *ent_dims))
@@ -197,6 +206,10 @@ def multi_start(
 ) -> CapacityResult:
     """Best of `starts` runs; ties in capacity keep the earliest start.
 
+    A later start wins only if its capacity exceeds the best so far by
+    more than `START_TIE_NATS` (1e-12 nats), so capacities that differ
+    by rounding alone count as tied.
+
     Start 0 is deterministic (the fixed four-state ensemble when the
     input is a qubit and `n_states` is 4, a seeded random ensemble
     otherwise); starts `i >= 1` draw fresh seeded random ensembles, so
@@ -208,6 +221,6 @@ def multi_start(
         init = initial_ensemble(ch.dim_in, cfg.n_states, cfg.seed, idx)
         res = run(ch, init, cfg, ent_dims)
         res = dataclasses.replace(res, start_index=idx)
-        if best is None or res.capacity > best.capacity:
+        if best is None or res.capacity > best.capacity + START_TIE_NATS:
             best = res
     return best

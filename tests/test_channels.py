@@ -25,6 +25,7 @@ from qcap import (
     tp_residual,
     validate,
 )
+from qcap.channels import _apply_batch, _dual_apply_batch
 from support import PAULI_X, random_density, random_hermitian
 
 
@@ -101,6 +102,51 @@ class TestDualApply:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="outputs"):
             dual_apply(identity_channel(2), np.eye(3))
+
+
+def explicit_apply(ch, X):
+    return sum(s * V @ X @ V.conj().T for s, V in zip(ch.signs, ch.kraus))
+
+
+def explicit_dual(ch, Y):
+    return sum(s * V.conj().T @ Y @ V for s, V in zip(ch.signs, ch.kraus))
+
+
+def isometry_channel_2_to_3(rng):
+    # Stinespring isometry C^2 -> C^3 (x) C^2, cut into two 3x2 generators.
+    Z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    W, _ = np.linalg.qr(Z)
+    return Channel(W.reshape(3, 2, 2).transpose(1, 0, 2))
+
+
+def kernel_channel(which, rng):
+    g = qcap.fixture_channel
+    if which == "2to3":
+        return isometry_channel_2_to_3(rng)
+    if which == "gamma3xgamma5":
+        return tensor(g("gamma3"), g("gamma5"))
+    return tensor(tensor(g("gamma1"), g("gamma1")), g("gamma1"))
+
+
+def random_matrices(rng, n, dim):
+    return rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+
+
+@pytest.mark.parametrize("which", ["2to3", "gamma3xgamma5", "gamma1^3"])
+class TestKernelsAgainstGeneratorSum:
+    def test_apply(self, which, rng):
+        ch = kernel_channel(which, rng)
+        Xs = random_matrices(rng, 4, ch.dim_in)
+        want = np.array([explicit_apply(ch, X) for X in Xs])
+        assert_allclose(apply(ch, Xs[0]), want[0], atol=1e-12)
+        assert_allclose(_apply_batch(ch, Xs), want, atol=1e-12)
+
+    def test_dual_apply(self, which, rng):
+        ch = kernel_channel(which, rng)
+        Ys = random_matrices(rng, 4, ch.dim_out)
+        want = np.array([explicit_dual(ch, Y) for Y in Ys])
+        assert_allclose(dual_apply(ch, Ys[0]), want[0], atol=1e-12)
+        assert_allclose(_dual_apply_batch(ch, Ys), want, atol=1e-12)
 
 
 class TestAffineToChannel:
@@ -293,6 +339,16 @@ class TestDescriptors:
             AffineQubit(np.diag([1.0, 1.0, np.inf]), np.zeros(3))
         with pytest.raises(ValueError, match=r"b has 1 non-finite entries, the first at \(1,\)"):
             AffineQubit(np.eye(3), np.array([0.0, np.nan, 0.0]))
+
+    def test_arrays_are_read_only_copies(self):
+        K = np.eye(2, dtype=complex)[None]
+        ch = Channel(K)
+        with pytest.raises(ValueError, match="read-only"):
+            ch.kraus[0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            ch.signs[0] = -1.0
+        K[0, 0, 0] = 2.0
+        assert ch.kraus[0, 0, 0] == 1.0
 
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="object"):

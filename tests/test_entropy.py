@@ -53,6 +53,16 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="unit trace"):
             Ensemble(np.array([1.0]), 2.0 * np.eye(2, dtype=complex)[None])
 
+    def test_rejects_nan_weights_and_traces(self, rng):
+        _, S = random_pure_ensemble(rng, 2, 2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            Ensemble(np.array([np.nan, 1.0]), S)
+        with pytest.raises(ValueError, match="sum to 1"):
+            Ensemble(np.array([np.nan, np.nan]), S)
+        S[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="unit trace"):
+            Ensemble(np.array([0.5, 0.5]), S)
+
 
 class TestRelEntropy:
     def test_self_is_zero(self, rng):
@@ -121,6 +131,17 @@ class TestMutualInfo:
         obar = sum(wi * o for wi, o in zip(w, outs))
         want = vn_entropy(obar) - sum(wi * vn_entropy(o) for wi, o in zip(w, outs))
         assert mutual_info(pi, ch) == pytest.approx(want, abs=1e-9)
+
+    def test_matches_relative_entropy_sum_on_entangled_states(self, rng):
+        # Definition: sum_i w_i D(G(s_i) || G(rho_bar)), with a signed
+        # factor, generically entangled inputs and one zero weight.
+        ch = qcap.tensor(qcap.fixture_channel("gamma3"), qcap.fixture_channel("gamma2"))
+        _, S = random_pure_ensemble(rng, 4, 5)
+        w = np.array([0.3, 0.0, 0.1, 0.4, 0.2])
+        pi = Ensemble(w, S)
+        out_bar = apply(ch, pi.average_state())
+        want = sum(wi * rel_entropy(apply(ch, s), out_bar) for wi, s in zip(w, S) if wi > 0)
+        assert mutual_info(pi, ch) == pytest.approx(want, abs=1e-12)
 
     def test_zero_weight_padding_is_invisible(self, rng):
         ch = qcap.fixture_channel("gamma2")

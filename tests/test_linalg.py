@@ -49,6 +49,10 @@ class TestHermEig:
         with pytest.raises(ValueError, match="Hermitian"):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 class TestMatrixLogPsd:
     def test_half_identity(self):

@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 import qcap
 from qcap import (
+    CapacityResult,
     Channel,
     Ensemble,
+    IterationTrace,
     SolverConfig,
     ab_step,
     canonical_qubit_start,
@@ -59,6 +61,12 @@ class TestConfig:
             SolverConfig(patience=1).resolved(ch)
         with pytest.raises(ValueError):
             SolverConfig(weight_floor=-0.1).resolved(ch)
+
+    @pytest.mark.parametrize("floor", [1.0, 2.0, np.inf, np.nan])
+    def test_rejects_weight_floor_outside_unit_interval(self, floor):
+        # A floor of 1 or more zeroes every weight and leaves 0/0 weights.
+        with pytest.raises(ValueError, match="weight_floor"):
+            SolverConfig(weight_floor=floor).resolved(qcap.fixture_channel("gamma1"))
 
 
 class TestStarts:
@@ -223,6 +231,31 @@ class TestRun:
         with pytest.raises(ValueError, match="dimension"):
             run(qcap.fixture_channel("gamma1"), Ensemble(w, S))
 
+    def test_non_finite_mutual_info_raises(self, monkeypatch):
+        # NaN never rounds equal to itself, so without the check the
+        # patience rule would never fire and the run would spin to max_iters.
+        monkeypatch.setattr(qcap.solver, "mutual_info", lambda pi, ch: float("nan"))
+        with pytest.raises(np.linalg.LinAlgError, match="mutual information is nan"):
+            run(qcap.fixture_channel("gamma1"), canonical_qubit_start())
+
+    def test_loop_plans_no_einsum_path(self, monkeypatch):
+        # No einsum inside the iteration may ask numpy to plan a
+        # contraction path: planned per call, that was most of a qubit solve.
+        calls = []
+        einsum = np.einsum
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("optimize", False))
+            return einsum(*args, **kwargs)
+
+        g = qcap.fixture_channel
+        product = tensor(g("gamma2"), g("gamma4"))
+        monkeypatch.setattr(np, "einsum", recording)
+        run(g("gamma1"), canonical_qubit_start(), SolverConfig(max_iters=5))
+        run(product, initial_ensemble(4, 16, 0, 0), SolverConfig(max_iters=5), ent_dims=(2, 2))
+        assert calls
+        assert not any(calls)
+
 
 class TestMultiStart:
     def test_gamma4_five_starts(self):
@@ -253,6 +286,17 @@ class TestMultiStart:
     def test_reports_winning_start_index(self):
         res = multi_start(qcap.fixture_channel("gamma4"), SolverConfig(seed=42))
         assert 0 <= res.start_index < 5
+
+    @pytest.mark.parametrize("gain, winner", [(1e-15, 0), (1e-9, 1)])
+    def test_rounding_ties_keep_the_earliest_start(self, monkeypatch, gain, winner):
+        capacities = iter([0.5, 0.5 + gain])
+
+        def fake_run(ch, init, cfg, ent_dims=None):
+            return CapacityResult(next(capacities), init, True, 1, 0, IterationTrace(np.zeros(1)))
+
+        monkeypatch.setattr(qcap.solver, "run", fake_run)
+        res = multi_start(qcap.fixture_channel("gamma1"), SolverConfig(starts=2))
+        assert res.start_index == winner
 
     def test_result_is_replaceable(self):
         # start_index is attached via dataclass replace; the rest survives.
