@@ -178,7 +178,7 @@ def choi(ch: Channel) -> np.ndarray:
     generator, so it is PSD exactly when the map is completely positive.
     """
     u = ch.kraus.transpose(0, 2, 1).reshape(ch.n_generators, -1)
-    return np.einsum("k,ka,kb->ab", ch.signs, u, u.conj())
+    return (u.T * ch.signs) @ u.conj()
 
 
 def tp_residual(ch: Channel) -> float:

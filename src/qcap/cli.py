@@ -24,7 +24,14 @@ import numpy as np
 from .channels import Channel, _matrix_to_wire, load_channel, tensor, tp_residual, validate
 from .entropy import entanglement
 from .fixtures import FIXTURE_NAMES, fixture_channel
-from .solver import CapacityResult, SolverConfig, initial_ensemble, multi_start, run
+from .solver import (
+    MAX_DECIMAL_PLACES,
+    CapacityResult,
+    SolverConfig,
+    initial_ensemble,
+    multi_start,
+    run,
+)
 
 MAX_PRODUCT_DIM = 16
 
@@ -63,6 +70,8 @@ def _channel(arg: str, usable: bool = True) -> Channel:
 
 
 def _config(args) -> SolverConfig:
+    if not 1 <= args.places <= MAX_DECIMAL_PLACES:
+        raise InputError(f"--places must be from 1 to {MAX_DECIMAL_PLACES}, got {args.places}")
     return SolverConfig(
         n_states=args.states,
         starts=args.starts,
@@ -215,7 +224,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="number of restarts (default: 5, or 3 for dimension >= 9)")
     p.add_argument("--seed", type=int, default=0, help="seed for the random starts")
     p.add_argument("--places", type=int, default=6,
-                   help="decimal places that must agree for convergence")
+                   help=f"decimal places that must agree for convergence "
+                        f"(1 to {MAX_DECIMAL_PLACES}, default 6)")
     p.add_argument("--patience", type=int, default=10,
                    help="successive agreeing values required for convergence")
     p.add_argument("--max-iters", type=int, default=100000, help="iteration cap per start")

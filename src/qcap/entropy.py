@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _apply_batch, apply
-from .linalg import LOG_FLOOR, _log_psd_batch, matrix_log_psd, trace_product
+from .linalg import LOG_FLOOR, _entropy_and_log, _log_psd_batch, matrix_log_psd, trace_product
 
 WEIGHT_ATOL = 1e-9
 
@@ -62,18 +62,22 @@ def rel_entropy(rho: np.ndarray, sigma: np.ndarray, floor: float = LOG_FLOOR) ->
     return trace_product(np.asarray(rho, dtype=complex), diff).real
 
 
-def _holevo_terms(weights: np.ndarray, states: np.ndarray, ch: Channel):
-    # The one place the iteration's maths lives: outputs `G(s_i)` and
+def _holevo_terms(weights: np.ndarray, outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The one place the iteration's maths lives.  For each row of an
+    # (s, n) weight stack and its (s, n, d, d) channel outputs `G(s_i)`:
+    # the mutual information `S(G(rho_bar)) - sum_i w_i S(G(s_i))` and the
     # ascent operators `Phi_i = log G(s_i) - log G(rho_bar)`, with
-    # `G(rho_bar) = sum_i w_i G(s_i)`.  Logs are clamped at LOG_FLOOR.
-    outs = _apply_batch(ch, states)
-    out_bar = np.einsum("n,nab->ab", weights, outs)
-    return outs, _log_psd_batch(outs) - _log_psd_batch(out_bar[None])
+    # `G(rho_bar) = sum_i w_i G(s_i)`.  One eigh of the outputs and one of
+    # the s averages give every entropy and log, clamped at LOG_FLOOR.
+    ents, phis = _entropy_and_log(outs)
+    ent_bar, log_bar = _entropy_and_log(np.einsum("sn,snab->sab", weights, outs))
+    phis -= log_bar[:, None]
+    return ent_bar - np.einsum("sn,sn->s", weights, ents), phis
 
 
 def _entropy_batch(stack: np.ndarray) -> np.ndarray:
-    # von Neumann entropies of a (n, d, d) stack, eigenvalues clamped at
-    # LOG_FLOOR inside the log exactly as `_log_psd_batch` clamps them.
+    # von Neumann entropies of a (n, d, d) stack from eigenvalues alone,
+    # clamped at LOG_FLOOR inside the log exactly as `_entropy_and_log`.
     w = np.linalg.eigvalsh(stack)
     return -(w * np.log(np.maximum(w, LOG_FLOOR))).sum(axis=1)
 
@@ -82,16 +86,14 @@ def mutual_info(pi: Ensemble, ch: Channel) -> float:
     """Holevo mutual information `sum_i w_i D(G(s_i) || G(rho_bar))`.
 
     Since `G(rho_bar) = sum_i w_i G(s_i)`, this equals
-    `S(G(rho_bar)) - sum_i w_i S(G(s_i))` with the same clamped logs, so
-    it is computed from eigenvalues alone.  Zero-weight components are
-    skipped, so padding an ensemble with unused states does not change
-    the value.
+    `S(G(rho_bar)) - sum_i w_i S(G(s_i))` with the same clamped logs,
+    which is how the solver's kernel computes it.  Zero-weight
+    components are skipped, so padding an ensemble with unused states
+    does not change the value.
     """
     mask = pi.weights > 0
-    w = pi.weights[mask]
-    outs = _apply_batch(ch, pi.states[mask])
-    out_bar = np.einsum("n,nab->ab", w, outs)
-    return float(_entropy_batch(out_bar[None])[0] - w @ _entropy_batch(outs))
+    info, _ = _holevo_terms(pi.weights[mask][None], _apply_batch(ch, pi.states[mask])[None])
+    return float(info[0])
 
 
 def phi_operator(sigma_p: np.ndarray, rho_p: np.ndarray, ch: Channel) -> np.ndarray:
@@ -117,8 +119,8 @@ def j_functional(pi: Ensemble, pi_p: Ensemble, ch: Channel) -> float:
     with np.errstate(divide="ignore"):
         classical = float(w[mask] @ (np.log(w[mask]) - np.log(wp[mask])))
     outs = _apply_batch(ch, pi.states[mask])
-    _, phis = _holevo_terms(wp, pi_p.states, ch)
-    quantum = float(w[mask] @ np.einsum("nab,nba->n", outs, phis[mask]).real)
+    _, phis = _holevo_terms(wp[None], _apply_batch(ch, pi_p.states)[None])
+    quantum = float(w[mask] @ np.einsum("nab,nba->n", outs, phis[0, mask]).real)
     return -classical + quantum
 
 
@@ -129,12 +131,20 @@ def entanglement(pi: Ensemble, dim_a: int, dim_b: int) -> float:
     per component, evaluated through the identity
     `D(s || s^A (x) s^B) = S(s^A) + S(s^B) - S(s)`.
     """
-    da, db = dim_a, dim_b
-    if pi.dim != da * db:
-        raise ValueError(f"ensemble dimension {pi.dim} does not split as {da}x{db}")
     mask = pi.weights > 0
-    T = pi.states[mask].reshape(-1, da, db, da, db)
+    return float(pi.weights[mask] @ _entanglement_terms(pi.states[mask], dim_a, dim_b))
+
+
+def _entanglement_terms(states: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    # Per-component `S(s^A) + S(s^B) - S(s)` of a (..., d, d) stack: three
+    # eigvalsh calls however many starts and components it holds.
+    da, db = dim_a, dim_b
+    d = states.shape[-1]
+    if d != da * db:
+        raise ValueError(f"ensemble dimension {d} does not split as {da}x{db}")
+    flat = states.reshape(-1, d, d)
+    T = flat.reshape(-1, da, db, da, db)
     rho_a = np.einsum("nabcb->nac", T)
     rho_b = np.einsum("nabad->nbd", T)
-    ent = _entropy_batch(rho_a) + _entropy_batch(rho_b) - _entropy_batch(pi.states[mask])
-    return float(pi.weights[mask] @ ent)
+    ent = _entropy_batch(rho_a) + _entropy_batch(rho_b) - _entropy_batch(flat)
+    return ent.reshape(states.shape[:-2])

@@ -45,7 +45,10 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     of Hermitian factors before feeding them back into an eigensolver.
     """
     M = np.asarray(M)
-    return (M + M.conj().swapaxes(-1, -2)) / 2
+    # Halved in place: the iteration hermitizes several stacks per step.
+    H = np.add(M, M.conj().swapaxes(-1, -2), dtype=np.result_type(M.dtype, 0.5))
+    H /= 2
+    return H
 
 
 def herm_eig(H: np.ndarray) -> EigenDecomposition:
@@ -120,13 +123,19 @@ def trace_product(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", A, B))
 
 
-def _log_psd_batch(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
-    # Batched Hermitian log for a (n, d, d) stack, skipping the phase
-    # convention (the log is basis-independent).  Eigenvalues below
-    # `floor` are clamped without complaint: callers feed channel
-    # outputs, which can dip marginally below zero along the iteration
-    # when a signed map acts on entangled states, and the ascent only
-    # needs the clamped log there.
+def _entropy_and_log(P: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    # One eigh of a (..., d, d) stack gives both the von Neumann entropies
+    # `-sum_j w_j log w_j` and the Hermitian logs, eigenvalues clamped at
+    # `floor` inside the log.  The phase convention is skipped (both are
+    # basis-independent).  Eigenvalues below `floor` are clamped without
+    # complaint: callers feed channel outputs, which can dip marginally
+    # below zero along the iteration when a signed map acts on entangled
+    # states, and the ascent only needs the clamped log there.
     w, V = np.linalg.eigh(P)
     logs = np.log(np.maximum(w, floor))
-    return hermitize((V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2))
+    return -(w * logs).sum(axis=-1), hermitize((V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2))
+
+
+def _log_psd_batch(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
+    # Batched clamped Hermitian log of a (n, d, d) stack.
+    return _entropy_and_log(P, floor)[1]

@@ -11,26 +11,34 @@ successive values agree to a fixed number of decimals.
 
 Random restarts guard against the non-concavity of `I` in the states;
 `multi_start` runs a deterministic first start plus seeded random ones
-and keeps the best.
+and keeps the best.  All starts of a solve iterate together as one
+stack, and each leaves the stack once it settles, so every start takes
+exactly the steps it would take alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import Channel, _apply_batch, _dual_apply_batch
-from .entropy import Ensemble, _holevo_terms, entanglement, mutual_info
+from .entropy import Ensemble, _entanglement_terms, _holevo_terms
 from .linalg import hermitize
 
-# Not called here, but bench/tracing.py wraps this binding, so it stays.
+# Not called here, but bench/tracing.py wraps these bindings, so they stay.
+from .entropy import entanglement, mutual_info  # noqa: F401
 from .linalg import _log_psd_batch  # noqa: F401
 
 # A later start replaces the best one only when it gains more than this
 # many nats, so ties decided by rounding keep the earliest start.
 START_TIE_NATS = 1e-12
+
+# Doubles resolve a capacity of a few nats to about 15 decimals, so a
+# stricter stop rule could never be met.
+MAX_DECIMAL_PLACES = 15
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,18 @@ class SolverConfig:
             raise ValueError("n_states, starts and max_iters must be positive")
         if self.patience < 2:
             raise ValueError("patience must be at least 2")
-        if not (0 <= self.weight_floor < 1):
-            raise ValueError("weight_floor must be finite, nonnegative and below 1")
+        places = self.decimal_places
+        if not (isinstance(places, (int, np.integer)) and 1 <= places <= MAX_DECIMAL_PLACES):
+            raise ValueError(
+                f"decimal_places must be an integer from 1 to {MAX_DECIMAL_PLACES}, got {places!r}"
+            )
+        # The largest weight is at least 1/n of the total, so a floor up
+        # to 1/n always leaves a nonzero weight to renormalize by.
+        if not (0 <= self.weight_floor <= 1 / n):
+            raise ValueError(
+                f"weight_floor must be finite, nonnegative and at most 1/n_states = 1/{n}, "
+                f"got {self.weight_floor!r}"
+            )
         return dataclasses.replace(self, n_states=n, starts=s)
 
 
@@ -134,6 +152,27 @@ def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble
     return random_start(dim, n_states, np.random.default_rng([seed, index]))
 
 
+def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray, weight_floor: float):
+    # The alternating update of every row of an (s, n) weight stack, given
+    # its (s, n, d_out, d_out) ascent operators: each state becomes the top
+    # eigenvector of `G*(Phi_i)`, each weight is rescaled by
+    # `exp(Tr[G(s_new_i) Phi_i])`.  Returns the new weights, states and
+    # their outputs, which the next iteration's Holevo terms take as given.
+    s, n = weights.shape
+    d, do = ch.dim_in, ch.dim_out
+    phis = phis.reshape(s * n, do, do)
+    _, vecs = np.linalg.eigh(hermitize(_dual_apply_batch(ch, phis)))
+    psi = vecs[..., -1]
+    states = np.einsum("na,nb->nab", psi, psi.conj())
+    outs = _apply_batch(ch, states)
+    scores = np.einsum("nab,nba->n", outs, phis).real.reshape(s, n)
+    new_w = weights * np.exp(scores - scores.max(axis=1, keepdims=True))
+    if weight_floor > 0:
+        new_w[new_w < weight_floor * new_w.sum(axis=1, keepdims=True)] = 0.0
+    new_w /= new_w.sum(axis=1, keepdims=True)
+    return new_w, states.reshape(s, n, d, d), outs.reshape(s, n, do, do)
+
+
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
     """One alternating update; returns a new ensemble of pure states.
 
@@ -143,15 +182,73 @@ def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> En
     """
     if pi.dim != ch.dim_in:
         raise ValueError(f"ensemble dimension {pi.dim} != channel input {ch.dim_in}")
-    _, phis = _holevo_terms(pi.weights, pi.states, ch)
-    _, vecs = np.linalg.eigh(hermitize(_dual_apply_batch(ch, phis)))
-    psi = vecs[..., -1]
-    new_states = np.einsum("na,nb->nab", psi, psi.conj())
-    scores = np.einsum("nab,nba->n", _apply_batch(ch, new_states), phis).real
-    new_w = pi.weights * np.exp(scores - scores.max())
-    if cfg.weight_floor > 0:
-        new_w[new_w < cfg.weight_floor * new_w.sum()] = 0.0
-    return Ensemble(new_w / new_w.sum(), new_states)
+    floor = dataclasses.replace(cfg, n_states=pi.n_states).resolved(ch).weight_floor
+    _, phis = _holevo_terms(pi.weights[None], _apply_batch(ch, pi.states)[None])
+    weights, states, _ = _ascend(ch, pi.weights[None], phis, floor)
+    return Ensemble(weights[0], states[0])
+
+
+def _iterate(
+    ch: Channel,
+    inits: list[Ensemble],
+    cfg: SolverConfig,
+    ent_dims: tuple[int, int] | None = None,
+) -> list[CapacityResult]:
+    """Iterate every start in `inits` as one stack; one result per start.
+
+    Each iteration takes the mutual information and ascent operators of
+    all starts from one eigh of their outputs and one of their averages,
+    and updates them with one eigh of the dual images and one apply of
+    the new states, whose outputs the next iteration reuses.  A start
+    that meets the stop rule (or `max_iters`) leaves the stack with its
+    result; the others go on.  Starts never mix, so each result is the
+    one the start would reach alone.
+    """
+    weights = np.stack([p.weights for p in inits])
+    states = np.stack([p.states for p in inits])
+    s, n, d, _ = states.shape
+    do = ch.dim_out
+    outs = _apply_batch(ch, states.reshape(s * n, d, d)).reshape(s, n, do, do)
+    rows = list(range(s))  # start index of each row still in the stack
+    values: list[list[float]] = [[] for _ in rows]
+    ents: list[list[float]] = [[] for _ in rows]
+    last = [None] * s  # last rounded value and how many times in a row it came
+    streak = [0] * s
+    results: list[CapacityResult | None] = [None] * s
+    for k in range(1, cfg.max_iters + 1):
+        info, phis = _holevo_terms(weights, outs)
+        del outs  # each dead stack is released before the next one is built
+        if ent_dims is not None:
+            ent = np.einsum("sn,sn->s", weights, _entanglement_terms(states, *ent_dims))
+        keep = []
+        for row, idx in enumerate(rows):
+            value = float(info[row])
+            if not math.isfinite(value):
+                raise np.linalg.LinAlgError(f"mutual information is {value} at iteration {k}")
+            values[idx].append(value)
+            if ent_dims is not None:
+                ents[idx].append(float(ent[row]))
+            rounded = round(value, cfg.decimal_places)
+            streak[idx] = streak[idx] + 1 if rounded == last[idx] else 1
+            last[idx] = rounded
+            converged = streak[idx] >= cfg.patience
+            if converged or k == cfg.max_iters:
+                trace = IterationTrace(
+                    np.array(values[idx]), np.array(ents[idx]) if ent_dims is not None else None
+                )
+                pi = Ensemble(weights[row].copy(), states[row].copy())
+                results[idx] = CapacityResult(value, pi, converged, k, idx, trace)
+            else:
+                keep.append(row)
+        if not keep:
+            break
+        if len(keep) < len(rows):
+            rows = [rows[r] for r in keep]
+            weights, phis = weights[keep], phis[keep]
+        del states
+        weights, states, outs = _ascend(ch, weights, phis, cfg.weight_floor)
+        del phis
+    return results
 
 
 def run(
@@ -173,30 +270,8 @@ def run(
     """
     if init.dim != ch.dim_in:
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
-    cfg = config.resolved(ch)
-    pi = init
-    values: list[float] = []
-    ents: list[float] | None = [] if ent_dims is not None else None
-    rounded: list[float] = []
-    converged = False
-    iterations = 0
-    for k in range(1, cfg.max_iters + 1):
-        iterations = k
-        value = mutual_info(pi, ch)
-        if not np.isfinite(value):
-            raise np.linalg.LinAlgError(f"mutual information is {value} at iteration {k}")
-        values.append(value)
-        if ents is not None:
-            ents.append(entanglement(pi, *ent_dims))
-        rounded.append(round(value, cfg.decimal_places))
-        if k >= cfg.patience and len(set(rounded[-cfg.patience :])) == 1:
-            converged = True
-            break
-        if k == cfg.max_iters:
-            break
-        pi = ab_step(pi, ch, cfg)
-    trace = IterationTrace(np.array(values), np.array(ents) if ents is not None else None)
-    return CapacityResult(values[-1], pi, converged, iterations, 0, trace)
+    cfg = dataclasses.replace(config, n_states=init.n_states).resolved(ch)
+    return _iterate(ch, [init], cfg, ent_dims)[0]
 
 
 def multi_start(
@@ -213,14 +288,13 @@ def multi_start(
     Start 0 is deterministic (the fixed four-state ensemble when the
     input is a qubit and `n_states` is 4, a seeded random ensemble
     otherwise); starts `i >= 1` draw fresh seeded random ensembles, so
-    the whole search is reproducible from `config.seed`.
+    the whole search is reproducible from `config.seed`.  The starts
+    iterate together, and each gives the result `run` gives from it.
     """
     cfg = config.resolved(ch)
+    inits = [initial_ensemble(ch.dim_in, cfg.n_states, cfg.seed, i) for i in range(cfg.starts)]
     best: CapacityResult | None = None
-    for idx in range(cfg.starts):
-        init = initial_ensemble(ch.dim_in, cfg.n_states, cfg.seed, idx)
-        res = run(ch, init, cfg, ent_dims)
-        res = dataclasses.replace(res, start_index=idx)
+    for res in _iterate(ch, inits, cfg, ent_dims):
         if best is None or res.capacity > best.capacity + START_TIE_NATS:
             best = res
     return best

@@ -135,6 +135,14 @@ class TestCapacity:
         proc = qcap_cmd("capacity", "--channel", "gamma5", "--max-iters", "5", "--seed", "0")
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("places", ["-1", "0", "30"])
+    def test_places_outside_1_to_15_exits_2(self, places):
+        # At -1, gamma5 used to report converged: true 0.013 nats short.
+        proc = qcap_cmd("capacity", "--channel", "gamma5", "--places", places, "--strict")
+        assert proc.returncode == 2
+        assert "--places" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestAdditivity:
     def test_gamma2_gamma4(self):

@@ -68,6 +68,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="weight_floor"):
             SolverConfig(weight_floor=floor).resolved(qcap.fixture_channel("gamma1"))
 
+    def test_rejects_weight_floor_above_one_over_n_states(self):
+        # gamma1 has 4 states; a floor of 1/2 can zero every weight.
+        ch = qcap.fixture_channel("gamma1")
+        cfg = SolverConfig(weight_floor=0.5)
+        with pytest.raises(ValueError, match="weight_floor"):
+            cfg.resolved(ch)
+        with pytest.raises(ValueError, match="weight_floor"):
+            run(ch, canonical_qubit_start(), cfg)
+        with pytest.raises(ValueError, match="weight_floor"):
+            ab_step(canonical_qubit_start(), ch, cfg)
+
+    def test_accepts_weight_floor_of_one_over_n_states(self):
+        ch = qcap.fixture_channel("gamma1")
+        cfg = SolverConfig(weight_floor=0.25).resolved(ch)
+        assert cfg.weight_floor == 0.25
+        res = run(ch, canonical_qubit_start(), cfg)
+        assert res.converged
+        assert res.capacity == pytest.approx(0.138166, abs=1e-5)
+
+    @pytest.mark.parametrize("places", [-1, 0, 16, 30, 6.0])
+    def test_rejects_decimal_places_outside_1_to_15(self, places):
+        # A coarse rounding declares convergence early at a wrong value;
+        # a finer one than doubles resolve can never converge.
+        with pytest.raises(ValueError, match="decimal_places"):
+            SolverConfig(decimal_places=places).resolved(qcap.fixture_channel("gamma1"))
+
+    @pytest.mark.parametrize("places", [1, 15])
+    def test_accepts_decimal_places_at_the_ends(self, places):
+        cfg = SolverConfig(decimal_places=places).resolved(qcap.fixture_channel("gamma1"))
+        assert cfg.decimal_places == places
+
 
 class TestStarts:
     def test_canonical_qubit_ensemble(self):
@@ -234,7 +265,13 @@ class TestRun:
     def test_non_finite_mutual_info_raises(self, monkeypatch):
         # NaN never rounds equal to itself, so without the check the
         # patience rule would never fire and the run would spin to max_iters.
-        monkeypatch.setattr(qcap.solver, "mutual_info", lambda pi, ch: float("nan"))
+        holevo_terms = qcap.solver._holevo_terms
+
+        def nan_info(weights, outs):
+            info, phis = holevo_terms(weights, outs)
+            return np.full_like(info, np.nan), phis
+
+        monkeypatch.setattr(qcap.solver, "_holevo_terms", nan_info)
         with pytest.raises(np.linalg.LinAlgError, match="mutual information is nan"):
             run(qcap.fixture_channel("gamma1"), canonical_qubit_start())
 
@@ -255,6 +292,34 @@ class TestRun:
         run(product, initial_ensemble(4, 16, 0, 0), SolverConfig(max_iters=5), ent_dims=(2, 2))
         assert calls
         assert not any(calls)
+
+    @pytest.mark.parametrize("ent, per_iter", [(False, 3), (True, 6)])
+    def test_eigendecompositions_per_iteration(self, monkeypatch, ent, per_iter):
+        # One eigh of the outputs, one of their average, one of the dual
+        # images; plus three eigvalsh for the traced entanglement.
+        g = qcap.fixture_channel
+        product = tensor(g("gamma2"), g("gamma4"))
+        dims = (2, 2) if ent else None
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+
+        def count(iters):
+            calls.clear()
+            init = initial_ensemble(4, 16, 0, 0)
+            run(product, init, SolverConfig(max_iters=iters), ent_dims=dims)
+            return len(calls)
+
+        assert count(6) - count(5) == per_iter
+        assert count(5) == 5 * per_iter - 1  # the last iteration makes no update
 
 
 class TestMultiStart:
@@ -289,14 +354,41 @@ class TestMultiStart:
 
     @pytest.mark.parametrize("gain, winner", [(1e-15, 0), (1e-9, 1)])
     def test_rounding_ties_keep_the_earliest_start(self, monkeypatch, gain, winner):
-        capacities = iter([0.5, 0.5 + gain])
+        capacities = [0.5, 0.5 + gain]
 
-        def fake_run(ch, init, cfg, ent_dims=None):
-            return CapacityResult(next(capacities), init, True, 1, 0, IterationTrace(np.zeros(1)))
+        def fake_iterate(ch, inits, cfg, ent_dims=None):
+            return [CapacityResult(c, init, True, 1, i, IterationTrace(np.zeros(1)))
+                    for i, (c, init) in enumerate(zip(capacities, inits))]
 
-        monkeypatch.setattr(qcap.solver, "run", fake_run)
+        monkeypatch.setattr(qcap.solver, "_iterate", fake_iterate)
         res = multi_start(qcap.fixture_channel("gamma1"), SolverConfig(starts=2))
         assert res.start_index == winner
+
+    @pytest.mark.parametrize("pair", [("gamma4",), ("gamma2", "gamma4")])
+    def test_batched_starts_equal_solo_runs(self, pair):
+        # gamma4 at seed 42 stops its starts after 28, 29, 31, 41 and 34
+        # iterations, so starts leave the stack at different steps.
+        g = qcap.fixture_channel
+        ch = g(pair[0]) if len(pair) == 1 else tensor(g(pair[0]), g(pair[1]))
+        dims = (2, 2) if len(pair) == 2 else None
+        cfg = SolverConfig(seed=42).resolved(ch)
+        inits = [initial_ensemble(ch.dim_in, cfg.n_states, 42, i) for i in range(cfg.starts)]
+        batched = qcap.solver._iterate(ch, inits, cfg, dims)
+        assert len({r.iterations_used for r in batched}) > 1
+        for index, (got, init) in enumerate(zip(batched, inits)):
+            solo = run(ch, init, cfg, dims)
+            assert got.start_index == index
+            assert got.iterations_used == solo.iterations_used
+            assert got.converged == solo.converged
+            assert got.capacity == pytest.approx(solo.capacity, abs=1e-12)
+            assert_allclose(got.trace.mutual_info, solo.trace.mutual_info, rtol=0, atol=1e-12)
+            if dims:
+                assert_allclose(got.trace.ent, solo.trace.ent, rtol=0, atol=1e-12)
+            assert_allclose(got.ensemble.weights, solo.ensemble.weights, rtol=0, atol=1e-12)
+            assert_allclose(got.ensemble.states, solo.ensemble.states, rtol=0, atol=1e-12)
+        best = multi_start(ch, cfg, dims)
+        assert best.capacity == batched[best.start_index].capacity
+        assert all(r.capacity <= best.capacity + qcap.solver.START_TIE_NATS for r in batched)
 
     def test_result_is_replaceable(self):
         # start_index is attached via dataclass replace; the rest survives.
