@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -141,7 +142,9 @@ def cmd_additivity(args) -> int:
     r2 = multi_start(rhs, marginal)
     prod = tensor(lhs, rhs)
     dims = (lhs.dim_in, rhs.dim_in)
-    rp = multi_start(prod, _config(args), ent_dims=dims)
+    # Only the trace reads the per-iteration entanglement; the report
+    # takes it from the final ensemble alone.
+    rp = multi_start(prod, _config(args), ent_dims=dims if args.trace else None)
     report = _result_fields(rp)
     report.update(
         {
@@ -159,13 +162,23 @@ def cmd_additivity(args) -> int:
     return _strict_exit(args, r1, r2, rp)
 
 
+def _max_copies(dim: int) -> int:
+    # The most copies whose product keeps `dim ** copies` (dim >= 2)
+    # within MAX_PRODUCT_DIM, counted without forming a large power.
+    copies, size = 0, dim
+    while size <= MAX_PRODUCT_DIM:
+        copies, size = copies + 1, size * dim
+    return copies
+
+
 def cmd_regularized(args) -> int:
     ch = _channel(args.channel)
     if args.copies < 1:
         raise InputError("--copies must be at least 1")
-    if ch.dim_in**args.copies > MAX_PRODUCT_DIM:
+    dim = max(ch.dim_in, ch.dim_out)
+    if dim > 1 and args.copies > _max_copies(dim):
         raise InputError(
-            f"{args.copies} copies of a dimension-{ch.dim_in} input "
+            f"{args.copies} copies of a channel with dimension {dim} "
             f"exceed the dimension budget ({MAX_PRODUCT_DIM})"
         )
     if ch.dim_in**args.copies >= 8:
@@ -234,7 +247,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="exit with code 4 if any run fails to converge")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qcap` parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="qcap",
         description="Holevo capacity of finite-dimensional quantum channels",

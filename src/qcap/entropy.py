@@ -148,3 +148,20 @@ def _entanglement_terms(states: np.ndarray, dim_a: int, dim_b: int) -> np.ndarra
     rho_b = np.einsum("nabad->nbd", T)
     ent = _entropy_batch(rho_a) + _entropy_batch(rho_b) - _entropy_batch(flat)
     return ent.reshape(states.shape[:-2])
+
+
+def _schmidt_terms(kets: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    # The same terms for a (..., d) stack of unit kets, whose states are
+    # pure: then `D(s || s^A (x) s^B) = 2 S(smaller marginal)`, and that
+    # marginal is `M M'` with `M` the ket as a (min, max) matrix, so one
+    # small eigvalsh replaces three.  Its spectrum is clipped to [0, 1],
+    # which removes only rounding and leaves every term nonnegative.
+    d = kets.shape[-1]
+    if d != dim_a * dim_b:
+        raise ValueError(f"ensemble dimension {d} does not split as {dim_a}x{dim_b}")
+    M = kets.reshape(-1, dim_a, dim_b)
+    if dim_a > dim_b:
+        M = M.swapaxes(1, 2)
+    p = np.clip(np.linalg.eigvalsh(M @ M.conj().swapaxes(1, 2)), 0.0, 1.0)
+    ent = -2.0 * (p * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=1)
+    return ent.reshape(kets.shape[:-1])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _apply_batch, _dual_apply_batch
-from .entropy import Ensemble, _entanglement_terms, _holevo_terms
+from .entropy import Ensemble, _entanglement_terms, _holevo_terms, _schmidt_terms
 from .linalg import hermitize
 
 # Not called here, but bench/tracing.py wraps these bindings, so they stay.
@@ -110,6 +110,11 @@ def default_starts(dim: int) -> int:
     return 3 if dim >= 9 else 5
 
 
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    # The pure states `|psi><psi|` of an (n, d) ket stack.
+    return np.einsum("na,nb->nab", kets, kets.conj())
+
+
 def random_start(dim: int, n_states: int, rng: np.random.Generator) -> Ensemble:
     """Uniform weights over `n_states` independent random pure states.
 
@@ -118,8 +123,7 @@ def random_start(dim: int, n_states: int, rng: np.random.Generator) -> Ensemble:
     """
     psi = rng.standard_normal((n_states, dim)) + 1j * rng.standard_normal((n_states, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    states = np.einsum("na,nb->nab", psi, psi.conj())
-    return Ensemble(np.full(n_states, 1.0 / n_states), states)
+    return Ensemble(np.full(n_states, 1.0 / n_states), _projectors(psi))
 
 
 def canonical_qubit_start() -> Ensemble:
@@ -156,21 +160,22 @@ def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray, weight_floor: fl
     # The alternating update of every row of an (s, n) weight stack, given
     # its (s, n, d_out, d_out) ascent operators: each state becomes the top
     # eigenvector of `G*(Phi_i)`, each weight is rescaled by
-    # `exp(Tr[G(s_new_i) Phi_i])`.  Returns the new weights, states and
-    # their outputs, which the next iteration's Holevo terms take as given.
+    # `exp(Tr[G(s_new_i) Phi_i])`.  Returns the new weights, the (s, n, d)
+    # kets of the new states and their outputs, which the next
+    # iteration's Holevo terms take as given.
     s, n = weights.shape
     d, do = ch.dim_in, ch.dim_out
     phis = phis.reshape(s * n, do, do)
     _, vecs = np.linalg.eigh(hermitize(_dual_apply_batch(ch, phis)))
-    psi = vecs[..., -1]
-    states = np.einsum("na,nb->nab", psi, psi.conj())
-    outs = _apply_batch(ch, states)
+    psi = np.ascontiguousarray(vecs[..., -1])
+    del vecs
+    outs = _apply_batch(ch, _projectors(psi))
     scores = np.einsum("nab,nba->n", outs, phis).real.reshape(s, n)
     new_w = weights * np.exp(scores - scores.max(axis=1, keepdims=True))
     if weight_floor > 0:
         new_w[new_w < weight_floor * new_w.sum(axis=1, keepdims=True)] = 0.0
     new_w /= new_w.sum(axis=1, keepdims=True)
-    return new_w, states.reshape(s, n, d, d), outs.reshape(s, n, do, do)
+    return new_w, psi.reshape(s, n, d), outs.reshape(s, n, do, do)
 
 
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
@@ -184,8 +189,8 @@ def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> En
         raise ValueError(f"ensemble dimension {pi.dim} != channel input {ch.dim_in}")
     floor = dataclasses.replace(cfg, n_states=pi.n_states).resolved(ch).weight_floor
     _, phis = _holevo_terms(pi.weights[None], _apply_batch(ch, pi.states)[None])
-    weights, states, _ = _ascend(ch, pi.weights[None], phis, floor)
-    return Ensemble(weights[0], states[0])
+    weights, kets, _ = _ascend(ch, pi.weights[None], phis, floor)
+    return Ensemble(weights[0], _projectors(kets[0]))
 
 
 def _iterate(
@@ -203,12 +208,21 @@ def _iterate(
     that meets the stop rule (or `max_iters`) leaves the stack with its
     result; the others go on.  Starts never mix, so each result is the
     one the start would reach alone.
+
+    After the first update the stack is held as kets, and a state matrix
+    is built only for a returned result.  The tracked entanglement of the
+    initial states, which may be mixed, takes the general form; that of
+    every later stack takes the pure-state Schmidt form, one small
+    eigvalsh per update.
     """
     weights = np.stack([p.weights for p in inits])
     states = np.stack([p.states for p in inits])
     s, n, d, _ = states.shape
     do = ch.dim_out
     outs = _apply_batch(ch, states.reshape(s * n, d, d)).reshape(s, n, do, do)
+    if ent_dims is not None:
+        terms = _entanglement_terms(states, *ent_dims)
+    kets = None  # set by the first update; until then `states` is the stack
     rows = list(range(s))  # start index of each row still in the stack
     values: list[list[float]] = [[] for _ in rows]
     ents: list[list[float]] = [[] for _ in rows]
@@ -219,7 +233,7 @@ def _iterate(
         info, phis = _holevo_terms(weights, outs)
         del outs  # each dead stack is released before the next one is built
         if ent_dims is not None:
-            ent = np.einsum("sn,sn->s", weights, _entanglement_terms(states, *ent_dims))
+            ent = np.einsum("sn,sn->s", weights, terms)
         keep = []
         for row, idx in enumerate(rows):
             value = float(info[row])
@@ -236,7 +250,8 @@ def _iterate(
                 trace = IterationTrace(
                     np.array(values[idx]), np.array(ents[idx]) if ent_dims is not None else None
                 )
-                pi = Ensemble(weights[row].copy(), states[row].copy())
+                final = states[row].copy() if kets is None else _projectors(kets[row])
+                pi = Ensemble(weights[row].copy(), final)
                 results[idx] = CapacityResult(value, pi, converged, k, idx, trace)
             else:
                 keep.append(row)
@@ -245,9 +260,11 @@ def _iterate(
         if len(keep) < len(rows):
             rows = [rows[r] for r in keep]
             weights, phis = weights[keep], phis[keep]
-        del states
-        weights, states, outs = _ascend(ch, weights, phis, cfg.weight_floor)
+        states = None  # the initial stack, read only until the first update
+        weights, kets, outs = _ascend(ch, weights, phis, cfg.weight_floor)
         del phis
+        if ent_dims is not None:
+            terms = _schmidt_terms(kets, *ent_dims)
     return results
 
 

@@ -165,6 +165,15 @@ class TestAdditivity:
         assert report["c_product"] == pytest.approx(2 * np.log(2), abs=1e-4)
         assert abs(report["gap"]) <= 2e-4
 
+    def test_report_unchanged_by_trace(self, tmp_path):
+        # The entanglement monitor runs only for the trace; the report's
+        # entanglement comes from the final ensemble either way.
+        args = ("additivity", "--lhs", "gamma2", "--rhs", "gamma4", "--seed", "42")
+        plain = qcap_cmd(*args)
+        traced = qcap_cmd(*args, "--trace", str(tmp_path / "prod.csv"))
+        assert plain.returncode == 0 and traced.returncode == 0, traced.stderr
+        assert plain.stdout == traced.stdout
+
     def test_trace_file_contains_entanglement(self, tmp_path):
         trace = tmp_path / "prod.csv"
         proc = qcap_cmd(
@@ -206,6 +215,27 @@ class TestRegularized:
         proc = qcap_cmd("regularized", "--channel", "gamma1", "--copies", "0")
         assert proc.returncode == 2
 
+    def test_huge_copy_count_refused_at_once(self):
+        # The budget check must not form 3 ** 10_000_000.
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcap.cli", "regularized", "--channel", "gamma5",
+             "--copies", "10000000"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert "dimension budget" in proc.stderr
+
+    @pytest.mark.parametrize("copies", ["5", "30"])
+    def test_output_dimension_counts_toward_budget(self, tmp_path, copies):
+        # A 1 -> 2 preparation channel: its input never grows, its output does.
+        path = tmp_path / "prep.json"
+        path.write_text(json.dumps(
+            {"name": "prep", "kind": "kraus", "kraus": [[[[1.0, 0.0]], [[0.0, 0.0]]]]}
+        ))
+        proc = qcap_cmd("regularized", "--channel", str(path), "--copies", copies)
+        assert proc.returncode == 2
+        assert "dimension budget" in proc.stderr
+
 
 class TestTrace:
     def test_gamma2_pair_csv(self, tmp_path):
@@ -232,6 +262,15 @@ class TestTrace:
         a = qcap_cmd("trace", "--lhs", "gamma1", "--rhs", "gamma2", "--seed", "5")
         b = qcap_cmd("trace", "--lhs", "gamma1", "--rhs", "gamma2", "--seed", "5")
         assert a.stdout == b.stdout
+
+    def test_entanglement_never_negative(self):
+        # Row 1 is the initial states' general form; every later row comes
+        # from the clipped Schmidt spectrum of the updated kets.
+        proc = qcap_cmd("trace", "--lhs", "gamma1", "--rhs", "gamma5", "--seed", "0")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+        assert len(rows) > 100
+        assert all(float(r[2]) >= 0 for r in rows[1:])
 
 
 class TestValidate:
@@ -300,6 +339,21 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "multi_start", fail)
     assert cli.main(["capacity", "--channel", "gamma1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_parser_built_once_across_commands(capsys):
+    # In one process, successive commands share one parser and behave as
+    # they do in fresh processes.
+    from qcap import cli
+
+    commands = [("capacity", "--channel", "gamma1", "--seed", "42"),
+                ("validate", "--channel", "gamma3")]
+    cli.build_parser.cache_clear()
+    for argv in commands:
+        code = cli.main(list(argv))
+        fresh = qcap_cmd(*argv)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_no_command_exits_2():

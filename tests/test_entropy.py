@@ -254,3 +254,26 @@ class TestEntanglement:
         w, S = random_pure_ensemble(rng, 4, 2)
         with pytest.raises(ValueError, match="split"):
             entanglement(Ensemble(w, S), 2, 3)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_schmidt_form_matches_general_form_on_kets(self, rng, dims):
+        d = dims[0] * dims[1]
+        kets = rng.standard_normal((2, 5, d)) + 1j * rng.standard_normal((2, 5, d))
+        kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+        states = np.einsum("...a,...b->...ab", kets, kets.conj())
+        got = qcap.entropy._schmidt_terms(kets, *dims)
+        assert got.shape == (2, 5)
+        assert_allclose(got, qcap.entropy._entanglement_terms(states, *dims), rtol=0, atol=1e-13)
+
+    def test_schmidt_form_of_product_kets_is_nonnegative_zero(self, rng):
+        a = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        b = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        terms = qcap.entropy._schmidt_terms(np.einsum("na,nb->nab", a, b).reshape(20, 6), 2, 3)
+        assert np.all(terms >= 0)
+        assert terms.max() <= 1e-12
+
+    def test_schmidt_form_rejects_bad_split(self):
+        with pytest.raises(ValueError, match="split"):
+            qcap.entropy._schmidt_terms(np.ones((1, 4)) / 2, 2, 3)

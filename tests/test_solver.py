@@ -15,6 +15,7 @@ from qcap import (
     canonical_qubit_start,
     default_n_states,
     default_starts,
+    entanglement,
     initial_ensemble,
     j_functional,
     multi_start,
@@ -23,7 +24,7 @@ from qcap import (
     run,
     tensor,
 )
-from support import random_pure_ensemble
+from support import random_density, random_pure_ensemble
 
 GAMMA1_MAXIMIZER = Ensemble(
     np.array([0.521046, 0.478954]),
@@ -293,10 +294,11 @@ class TestRun:
         assert calls
         assert not any(calls)
 
-    @pytest.mark.parametrize("ent, per_iter", [(False, 3), (True, 6)])
+    @pytest.mark.parametrize("ent, per_iter", [(False, 3), (True, 4)])
     def test_eigendecompositions_per_iteration(self, monkeypatch, ent, per_iter):
         # One eigh of the outputs, one of their average, one of the dual
-        # images; plus three eigvalsh for the traced entanglement.
+        # images; plus, for the traced entanglement, one eigvalsh of each
+        # updated stack's smaller marginals.
         g = qcap.fixture_channel
         product = tensor(g("gamma2"), g("gamma4"))
         dims = (2, 2) if ent else None
@@ -319,7 +321,58 @@ class TestRun:
             return len(calls)
 
         assert count(6) - count(5) == per_iter
-        assert count(5) == 5 * per_iter - 1  # the last iteration makes no update
+        # The last iteration makes no update, and the initial states'
+        # entanglement takes the general form's three eigvalsh.
+        assert count(5) == (5 * per_iter - 2 + 3 if ent else 5 * per_iter - 1)
+
+    @pytest.mark.parametrize(
+        "pair, dims",
+        [(("gamma2", "gamma4"), (2, 2)), (("gamma1", "gamma5"), (2, 3)),
+         (("gamma5", "gamma1"), (3, 2))],
+    )
+    def test_traced_entanglement_is_the_general_form(self, pair, dims):
+        # Iteration 1 traces the initial states in the general form, later
+        # ones the updated kets in the Schmidt form; both must give what
+        # `entanglement` gives for the ensemble returned at that iteration.
+        g = qcap.fixture_channel
+        product = tensor(g(pair[0]), g(pair[1]))
+        d = product.dim_in
+        init = initial_ensemble(d, d * d, 0, 0)
+        for k in range(1, 7):
+            res = run(product, init, SolverConfig(max_iters=k), ent_dims=dims)
+            assert len(res.trace.ent) == k
+            assert res.trace.ent[-1] == pytest.approx(
+                entanglement(res.ensemble, *dims), abs=1e-13
+            )
+
+    def test_mixed_initial_states_take_the_general_form(self, rng):
+        g = qcap.fixture_channel
+        product = tensor(g("gamma2"), g("gamma4"))
+        states = np.array([random_density(rng, 4, rank=2) for _ in range(6)])
+        init = Ensemble(np.full(6, 1 / 6), states)
+        res = run(product, init, SolverConfig(max_iters=3), ent_dims=(2, 2))
+        assert res.trace.ent[0] == entanglement(init, 2, 2)
+
+    def test_traced_entanglement_is_clipped_rounding_only(self, monkeypatch):
+        # The Schmidt form clips its spectrum to [0, 1]: every traced value
+        # after the first is nonnegative and within rounding of the
+        # unclipped one.
+        def unclipped(kets, da, db):
+            M = kets.reshape(-1, da, db)
+            M = M.swapaxes(1, 2) if da > db else M
+            p = np.linalg.eigvalsh(M @ M.conj().swapaxes(1, 2))
+            ent = -2.0 * (p * np.log(np.maximum(p, qcap.linalg.LOG_FLOOR))).sum(axis=1)
+            return ent.reshape(kets.shape[:-1])
+
+        g = qcap.fixture_channel
+        product = tensor(g("gamma1"), g("gamma5"))
+        init = initial_ensemble(6, 36, 0, 0)
+        clipped = run(product, init, SolverConfig(), ent_dims=(2, 3)).trace.ent
+        monkeypatch.setattr(qcap.solver, "_schmidt_terms", unclipped)
+        raw = run(product, init, SolverConfig(), ent_dims=(2, 3)).trace.ent
+        assert np.all(clipped[1:] >= 0)
+        assert (raw[1:] < 0).any()
+        assert_allclose(clipped, raw, rtol=0, atol=1e-14)
 
 
 class TestMultiStart:
