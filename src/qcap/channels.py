@@ -12,8 +12,9 @@ The map and its dual are applied through the channel's transfer matrix
 `T = sum_k s_k V_k (x) conj(V_k)` (`d_out^2 x d_in^2`, with row-major
 `vec(G(X)) = T vec(X)`), built once per channel from the Choi operator
 and cached, so a batch of inputs costs one matrix product however many
-generators the channel has.  A channel's arrays are read-only, which
-keeps the cached matrix in step with the generators.
+generators the channel has.  A qubit -> qubit map also caches the real
+4 x 4 form of `T` in the Pauli basis.  A channel's arrays are read-only,
+which keeps the cached matrices in step with the generators.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+# Rows are the row-major flattened `s_0 = I, s_x, s_y, s_z`, so the Pauli
+# coordinates `x_j = Tr[s_j X]` of a 2 x 2 X are `vec(X) conj(PAULI_BASIS)'`
+# and `X = x PAULI_BASIS / 2`.
+PAULI_BASIS = np.stack([np.eye(2, dtype=complex), *PAULI]).reshape(4, 4)
 
 
 class CompletePositivityError(ValueError):
@@ -126,6 +132,13 @@ class Channel:
         # Realigned Choi operator: T[(a, b), (i, j)] = sum_k s_k V_k[a, i] conj(V_k[b, j]).
         di, do = self.dim_in, self.dim_out
         return choi(self).reshape(di, do, di, do).transpose(1, 3, 0, 2).reshape(do * do, di * di)
+
+    @cached_property
+    def _pauli_transfer(self) -> np.ndarray:
+        # Qubit -> qubit maps only: `R[j, k] = Tr[s_j G(s_k)] / 2`, real for
+        # any Hermiticity-preserving map, so that `G` takes the Pauli
+        # coordinates x of its input to `R x`.
+        return (PAULI_BASIS.conj() @ self._transfer @ PAULI_BASIS.T).real / 2
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,8 @@ def cmd_additivity(args) -> int:
     # --states and --starts size the product solve; the factors keep their defaults.
     marginal = dataclasses.replace(_config(args), n_states=None, starts=None)
     r1 = multi_start(lhs, marginal)
-    r2 = multi_start(rhs, marginal)
+    # A channel paired with itself (the paper's diagonal rows) is solved once.
+    r2 = r1 if args.rhs == args.lhs else multi_start(rhs, marginal)
     prod = tensor(lhs, rhs)
     dims = (lhs.dim_in, rhs.dim_in)
     # Only the trace reads the per-iteration entanglement; the report
@@ -162,12 +163,12 @@ def cmd_additivity(args) -> int:
     return _strict_exit(args, r1, r2, rp)
 
 
-def _max_copies(dim: int) -> int:
-    # The most copies whose product keeps `dim ** copies` (dim >= 2)
-    # within MAX_PRODUCT_DIM, counted without forming a large power.
-    copies, size = 0, dim
-    while size <= MAX_PRODUCT_DIM:
-        copies, size = copies + 1, size * dim
+def _max_copies(base: int, budget: int) -> int:
+    # The most copies whose product keeps `base ** copies` (base >= 2)
+    # within `budget`, counted without forming a large power.
+    copies, size = 0, base
+    while size <= budget:
+        copies, size = copies + 1, size * base
     return copies
 
 
@@ -176,17 +177,30 @@ def cmd_regularized(args) -> int:
     if args.copies < 1:
         raise InputError("--copies must be at least 1")
     dim = max(ch.dim_in, ch.dim_out)
-    if dim > 1 and args.copies > _max_copies(dim):
+    if dim > 1 and args.copies > _max_copies(dim, MAX_PRODUCT_DIM):
         raise InputError(
             f"{args.copies} copies of a channel with dimension {dim} "
             f"exceed the dimension budget ({MAX_PRODUCT_DIM})"
         )
+    # The product's generators multiply even where its dimension does not
+    # grow (a 1 x 1 channel); MAX_PRODUCT_DIM ** 2 is the most a channel
+    # at the dimension budget needs.
+    gens = ch.n_generators
+    if gens > 1 and args.copies > _max_copies(gens, MAX_PRODUCT_DIM**2):
+        raise InputError(
+            f"{args.copies} copies of a channel with {gens} generators "
+            f"exceed the generator budget ({MAX_PRODUCT_DIM**2})"
+        )
     if ch.dim_in**args.copies >= 8:
         print("note: this many copies is slow; expect a long solve", file=sys.stderr)
     single = multi_start(ch, dataclasses.replace(_config(args), n_states=None, starts=None))
-    prod = ch
+    # Tensored unnamed and named once: nested names cost quadratic time.
+    factor = Channel(ch.kraus, ch.signs)
+    prod = factor
     for _ in range(args.copies - 1):
-        prod = tensor(prod, ch)
+        prod = tensor(prod, factor)
+    if ch.name:
+        prod = Channel(prod.kraus, prod.signs, name="(x)".join([ch.name] * args.copies))
     res = multi_start(prod, _config(args))
     report = _result_fields(res)
     report.update(

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _apply_batch, apply
-from .linalg import LOG_FLOOR, _entropy_and_log, _log_psd_batch, matrix_log_psd, trace_product
+from .linalg import LOG_FLOOR, _entropy_and_log, matrix_log_psd, trace_product
+
+# Not called here, but bench/tracing.py wraps this binding, so it stays.
+from .linalg import _log_psd_batch  # noqa: F401
 
 WEIGHT_ATOL = 1e-9
 
@@ -62,15 +65,19 @@ def rel_entropy(rho: np.ndarray, sigma: np.ndarray, floor: float = LOG_FLOOR) ->
     return trace_product(np.asarray(rho, dtype=complex), diff).real
 
 
-def _holevo_terms(weights: np.ndarray, outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _holevo_terms(
+    weights: np.ndarray, outs: np.ndarray, entropy_and_log=_entropy_and_log
+) -> tuple[np.ndarray, np.ndarray]:
     # The one place the iteration's maths lives.  For each row of an
     # (s, n) weight stack and its (s, n, d, d) channel outputs `G(s_i)`:
     # the mutual information `S(G(rho_bar)) - sum_i w_i S(G(s_i))` and the
     # ascent operators `Phi_i = log G(s_i) - log G(rho_bar)`, with
     # `G(rho_bar) = sum_i w_i G(s_i)`.  One eigh of the outputs and one of
     # the s averages give every entropy and log, clamped at LOG_FLOOR.
-    ents, phis = _entropy_and_log(outs)
-    ent_bar, log_bar = _entropy_and_log(np.einsum("sn,snab->sab", weights, outs))
+    # Qubit outputs may come as (s, n, 4) Pauli coordinates instead, with
+    # `linalg._pauli_entropy_and_log`; the averages are linear either way.
+    ents, phis = entropy_and_log(outs)
+    ent_bar, log_bar = entropy_and_log(np.einsum("sn,sn...->s...", weights, outs))
     phis -= log_bar[:, None]
     return ent_bar - np.einsum("sn,sn->s", weights, ents), phis
 
@@ -98,7 +105,7 @@ def mutual_info(pi: Ensemble, ch: Channel) -> float:
 
 def phi_operator(sigma_p: np.ndarray, rho_p: np.ndarray, ch: Channel) -> np.ndarray:
     """`Phi = log G(sigma') - log G(rho')`, the solver's ascent direction seed."""
-    logs = _log_psd_batch(np.stack([apply(ch, sigma_p), apply(ch, rho_p)]))
+    _, logs = _entropy_and_log(np.stack([apply(ch, sigma_p), apply(ch, rho_p)]))
     return logs[0] - logs[1]
 
 

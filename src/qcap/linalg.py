@@ -15,6 +15,9 @@ HERM_ATOL = 1e-10
 PSD_ATOL = 1e-9
 LOG_FLOOR = 1e-12
 
+_MINUS_PLUS = np.array([-1.0, 1.0])
+_TINY = np.finfo(float).tiny
+
 
 class EigenDecomposition(NamedTuple):
     """Eigenvalues in descending order, eigenvectors as matching columns."""
@@ -139,3 +142,20 @@ def _entropy_and_log(P: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarra
 def _log_psd_batch(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
     # Batched clamped Hermitian log of a (n, d, d) stack.
     return _entropy_and_log(P, floor)[1]
+
+
+def _pauli_entropy_and_log(y: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    # `_entropy_and_log` of a (..., 4) stack of qubit operators given by
+    # their Pauli coordinates `y = (t, r)`, `y_j = Tr[s_j P]`, in closed
+    # form: P has eigenvalues `(t -+ |r|)/2`, clamped at `floor` inside the
+    # log as there, and its log has coordinates
+    # `(l_- + l_+, (l_+ - l_-) r / |r|)`.  No eigendecomposition.
+    r = y[..., 1:]
+    norm = np.sqrt(np.einsum("...j,...j->...", r, r))
+    w = (y[..., :1] + norm[..., None] * _MINUS_PLUS) / 2
+    logs = np.log(np.maximum(w, floor))
+    # Where |r| is 0 (or below the smallest normal double) both logs are
+    # equal, so any positive divisor gives the 0 that is wanted there.
+    coords = y * ((logs[..., 1] - logs[..., 0]) / np.maximum(norm, _TINY))[..., None]
+    coords[..., 0] = logs[..., 0] + logs[..., 1]
+    return -np.einsum("...j,...j->...", w, logs), coords

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _apply_batch, _dual_apply_batch
+from .channels import PAULI_BASIS, Channel, _apply_batch, _dual_apply_batch
 from .entropy import Ensemble, _entanglement_terms, _holevo_terms, _schmidt_terms
-from .linalg import hermitize
+from .linalg import _entropy_and_log, _pauli_entropy_and_log, hermitize
 
 # Not called here, but bench/tracing.py wraps these bindings, so they stay.
 from .entropy import entanglement, mutual_info  # noqa: F401
@@ -171,11 +171,52 @@ def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray, weight_floor: fl
     del vecs
     outs = _apply_batch(ch, _projectors(psi))
     scores = np.einsum("nab,nba->n", outs, phis).real.reshape(s, n)
+    return _reweight(weights, scores, weight_floor), psi.reshape(s, n, d), outs.reshape(s, n, do, do)
+
+
+def _reweight(weights: np.ndarray, scores: np.ndarray, weight_floor: float) -> np.ndarray:
+    # Each weight times `exp(score)`, shifted by the row's largest score so
+    # that no factor overflows, floored and renormalized per row.
     new_w = weights * np.exp(scores - scores.max(axis=1, keepdims=True))
     if weight_floor > 0:
         new_w[new_w < weight_floor * new_w.sum(axis=1, keepdims=True)] = 0.0
     new_w /= new_w.sum(axis=1, keepdims=True)
-    return new_w, psi.reshape(s, n, d), outs.reshape(s, n, do, do)
+    return new_w
+
+
+def _pauli_path(ch: Channel, ent_dims: tuple[int, int] | None) -> bool:
+    # Whether `_iterate` takes the Pauli-basis step; the entanglement
+    # monitor reads kets, so a tracked run keeps the ket step.
+    return ch.dim_in == ch.dim_out == 2 and ent_dims is None
+
+
+def _pauli_coords(states: np.ndarray) -> np.ndarray:
+    # Pauli coordinates `x_j = Tr[s_j rho]` of a (..., 2, 2) stack.
+    return (states.reshape(*states.shape[:-2], 4) @ PAULI_BASIS.conj().T).real
+
+
+def _bloch_states(theta: np.ndarray) -> np.ndarray:
+    # The pure states `(I + theta . s)/2` of an (n, 3) stack of unit Bloch vectors.
+    x = np.concatenate([np.ones((len(theta), 1)), theta], axis=1)
+    return (x @ PAULI_BASIS / 2).reshape(-1, 2, 2)
+
+
+def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray, weight_floor: float):
+    # `_ascend` for a qubit -> qubit map with Pauli transfer matrix R, on
+    # (s, n, 4) Pauli coordinates of the ascent operators.  The dual image
+    # `G*(Phi_i)` has coordinates `g = phi R`; its top eigenvector is the
+    # pure state with Bloch vector `g_vec / |g_vec|` and eigenvalue
+    # `(g_0 + |g_vec|)/2`, the score.  A zero `g_vec` (every state is then
+    # optimal) takes `(0, 0, -1)`, the |1> that eigh returns for a multiple
+    # of the identity.  Returns the new weights, the (s, n, 3) Bloch
+    # vectors of the new states and the Pauli coordinates of their outputs.
+    g = phis @ R
+    gv = g[..., 1:]
+    norm = np.sqrt(np.einsum("snj,snj->sn", gv, gv))
+    theta = np.divide(gv, norm[..., None], out=np.zeros_like(gv), where=norm[..., None] > 0)
+    theta[norm == 0, 2] = -1.0
+    new_w = _reweight(weights, (g[..., 0] + norm) / 2, weight_floor)
+    return new_w, theta, R[:, 0] + theta @ R[:, 1:].T
 
 
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
@@ -214,15 +255,28 @@ def _iterate(
     initial states, which may be mixed, takes the general form; that of
     every later stack takes the pure-state Schmidt form, one small
     eigvalsh per update.
+
+    A qubit -> qubit map without tracked entanglement takes the same
+    steps in real Pauli coordinates instead (`_pauli_ascend`): a qubit
+    map is affine on the Bloch ball, so every entropy, log and top
+    eigenvector has a closed form, and the stack is held as Bloch
+    vectors.  Only the step differs; the stop rule and the results do not.
     """
     weights = np.stack([p.weights for p in inits])
     states = np.stack([p.states for p in inits])
     s, n, d, _ = states.shape
     do = ch.dim_out
-    outs = _apply_batch(ch, states.reshape(s * n, d, d)).reshape(s, n, do, do)
+    if _pauli_path(ch, ent_dims):
+        op = ch._pauli_transfer  # what the step applies: this matrix, or the channel
+        outs = _pauli_coords(states) @ op.T
+        entropy_and_log, ascend, pure_states = _pauli_entropy_and_log, _pauli_ascend, _bloch_states
+    else:
+        op = ch
+        outs = _apply_batch(ch, states.reshape(s * n, d, d)).reshape(s, n, do, do)
+        entropy_and_log, ascend, pure_states = _entropy_and_log, _ascend, _projectors
     if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
-    kets = None  # set by the first update; until then `states` is the stack
+    pure = None  # the updated stack's kets or Bloch vectors; until then `states`
     rows = list(range(s))  # start index of each row still in the stack
     values: list[list[float]] = [[] for _ in rows]
     ents: list[list[float]] = [[] for _ in rows]
@@ -230,7 +284,7 @@ def _iterate(
     streak = [0] * s
     results: list[CapacityResult | None] = [None] * s
     for k in range(1, cfg.max_iters + 1):
-        info, phis = _holevo_terms(weights, outs)
+        info, phis = _holevo_terms(weights, outs, entropy_and_log)
         del outs  # each dead stack is released before the next one is built
         if ent_dims is not None:
             ent = np.einsum("sn,sn->s", weights, terms)
@@ -250,7 +304,7 @@ def _iterate(
                 trace = IterationTrace(
                     np.array(values[idx]), np.array(ents[idx]) if ent_dims is not None else None
                 )
-                final = states[row].copy() if kets is None else _projectors(kets[row])
+                final = states[row].copy() if pure is None else pure_states(pure[row])
                 pi = Ensemble(weights[row].copy(), final)
                 results[idx] = CapacityResult(value, pi, converged, k, idx, trace)
             else:
@@ -261,10 +315,10 @@ def _iterate(
             rows = [rows[r] for r in keep]
             weights, phis = weights[keep], phis[keep]
         states = None  # the initial stack, read only until the first update
-        weights, kets, outs = _ascend(ch, weights, phis, cfg.weight_floor)
+        weights, pure, outs = ascend(op, weights, phis, cfg.weight_floor)
         del phis
         if ent_dims is not None:
-            terms = _schmidt_terms(kets, *ent_dims)
+            terms = _schmidt_terms(pure, *ent_dims)
     return results
 
 

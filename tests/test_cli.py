@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcap import multi_start
+
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
 
 
@@ -174,6 +176,27 @@ class TestAdditivity:
         assert plain.returncode == 0 and traced.returncode == 0, traced.stderr
         assert plain.stdout == traced.stdout
 
+    def test_self_pair_solves_its_marginal_once(self, monkeypatch, capsys):
+        # Naming one channel twice reuses its marginal solve; naming it two
+        # ways (fixture and file) solves it twice, to the same report.
+        from qcap import cli
+
+        solved = []
+
+        def counting(ch, *args, **kwargs):
+            solved.append(ch.dim_in)
+            return multi_start(ch, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "multi_start", counting)
+        runs = []
+        for rhs in ("gamma2", str(CHANNEL_DIR / "gamma2.json")):
+            solved.clear()
+            assert cli.main(["additivity", "--lhs", "gamma2", "--rhs", rhs, "--seed", "42"]) == 0
+            runs.append((capsys.readouterr().out, list(solved)))
+        (once, once_solved), (twice, twice_solved) = runs
+        assert once_solved == [2, 4] and twice_solved == [2, 2, 4]
+        assert once == twice
+
     def test_trace_file_contains_entanglement(self, tmp_path):
         trace = tmp_path / "prod.csv"
         proc = qcap_cmd(
@@ -235,6 +258,24 @@ class TestRegularized:
         proc = qcap_cmd("regularized", "--channel", str(path), "--copies", copies)
         assert proc.returncode == 2
         assert "dimension budget" in proc.stderr
+
+    def test_generator_budget_refused_before_any_tensor(self, tmp_path, monkeypatch, capsys):
+        # A 1 x 1 channel never grows, but its two generators make
+        # 2 ** copies; the budget is 256, where gamma1's four copies sit.
+        from qcap import cli
+
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(
+            {"name": "scalar", "kind": "kraus", "kraus": [[[[0.6, 0.0]]], [[[0.8, 0.0]]]]}
+        ))
+        assert cli._max_copies(4, 256) == 4
+        with monkeypatch.context() as m:
+            m.setattr(cli, "tensor", lambda *args: pytest.fail("tensor called"))
+            for copies in ("9", "40", "100000"):
+                assert cli.main(["regularized", "--channel", str(path), "--copies", copies]) == 2
+                assert "generator budget (256)" in capsys.readouterr().err
+        assert cli.main(["regularized", "--channel", str(path), "--copies", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["copies"] == 8
 
 
 class TestTrace:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcap
+import qcap.cli
 from qcap import (
     CapacityResult,
     Channel,
@@ -30,6 +31,12 @@ GAMMA1_MAXIMIZER = Ensemble(
     np.array([0.521046, 0.478954]),
     np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]], dtype=complex),
 )
+
+
+# `_iterate` steps a qubit -> qubit map (gamma1) in the Pauli basis and
+# every other map (gamma5, a qutrit map) on kets; tests that cover the
+# kernel's step run on one of each.
+BOTH_PATHS = ("gamma1", "gamma5")
 
 
 def identity_channel(dim=2):
@@ -186,16 +193,18 @@ class TestAbStep:
         assert new.weights[2] == 0.0
 
     def test_weight_floor_zeroes_small_components(self):
-        ch = qcap.fixture_channel("gamma1")
-        states = np.array(
-            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]],
-            dtype=complex,
-        )
-        pi = Ensemble(np.array([0.4999995, 0.4999995, 1e-6]), states)
-        new = ab_step(pi, ch, SolverConfig(weight_floor=1e-3))
-        assert new.weights.min() == 0.0
-        assert abs(new.weights.sum() - 1.0) <= 1e-12
-        assert new.n_states == 3
+        # In `ab_step` and in one update of the kernel, on either step.
+        cfg = SolverConfig(weight_floor=1e-3)
+        for name in BOTH_PATHS:
+            ch = qcap.fixture_channel(name)
+            d = ch.dim_in
+            states = np.array([np.diag(np.eye(d)[0]), np.diag(np.eye(d)[1]), np.full((d, d), 1 / d)])
+            pi = Ensemble(np.array([0.4999995, 0.4999995, 1e-6]), states)
+            solved = run(ch, pi, dataclasses.replace(cfg, max_iters=2)).ensemble
+            for new in (ab_step(pi, ch, cfg), solved):
+                assert new.weights.min() == 0.0
+                assert abs(new.weights.sum() - 1.0) <= 1e-12
+                assert new.n_states == 3
 
     def test_rejects_dimension_mismatch(self, rng):
         w, S = random_pure_ensemble(rng, 3, 4)
@@ -236,14 +245,12 @@ class TestRun:
             assert res.capacity <= np.log(ch.dim_out) + 1e-9
 
     def test_iteration_cap_reported_as_unconverged(self):
-        res = run(
-            qcap.fixture_channel("gamma5"),
-            initial_ensemble(3, 9, 0, 1),
-            SolverConfig(max_iters=3),
-        )
-        assert not res.converged
-        assert res.iterations_used == 3
-        assert len(res.trace) == 3
+        for name in BOTH_PATHS:
+            ch = qcap.fixture_channel(name)
+            res = run(ch, initial_ensemble(ch.dim_in, ch.dim_in**2, 0, 1), SolverConfig(max_iters=3))
+            assert not res.converged
+            assert res.iterations_used == 3
+            assert len(res.trace) == 3
 
     def test_trace_has_one_row_per_iteration(self):
         res = run(qcap.fixture_channel("gamma1"), canonical_qubit_start())
@@ -263,18 +270,22 @@ class TestRun:
         with pytest.raises(ValueError, match="dimension"):
             run(qcap.fixture_channel("gamma1"), Ensemble(w, S))
 
-    def test_non_finite_mutual_info_raises(self, monkeypatch):
+    def test_non_finite_mutual_info_raises(self, monkeypatch, capsys):
         # NaN never rounds equal to itself, so without the check the
         # patience rule would never fire and the run would spin to max_iters.
         holevo_terms = qcap.solver._holevo_terms
 
-        def nan_info(weights, outs):
-            info, phis = holevo_terms(weights, outs)
+        def nan_info(*args):
+            info, phis = holevo_terms(*args)
             return np.full_like(info, np.nan), phis
 
         monkeypatch.setattr(qcap.solver, "_holevo_terms", nan_info)
-        with pytest.raises(np.linalg.LinAlgError, match="mutual information is nan"):
-            run(qcap.fixture_channel("gamma1"), canonical_qubit_start())
+        for name in BOTH_PATHS:
+            ch = qcap.fixture_channel(name)
+            with pytest.raises(np.linalg.LinAlgError, match="mutual information is nan"):
+                run(ch, initial_ensemble(ch.dim_in, ch.dim_in**2, 0, 0))
+            assert qcap.cli.main(["capacity", "--channel", name]) == 3
+            assert "mutual information is nan" in capsys.readouterr().err
 
     def test_loop_plans_no_einsum_path(self, monkeypatch):
         # No einsum inside the iteration may ask numpy to plan a
@@ -289,6 +300,7 @@ class TestRun:
         g = qcap.fixture_channel
         product = tensor(g("gamma2"), g("gamma4"))
         monkeypatch.setattr(np, "einsum", recording)
+        # gamma1 takes the Pauli step, the product the ket step.
         run(g("gamma1"), canonical_qubit_start(), SolverConfig(max_iters=5))
         run(product, initial_ensemble(4, 16, 0, 0), SolverConfig(max_iters=5), ent_dims=(2, 2))
         assert calls
@@ -324,6 +336,18 @@ class TestRun:
         # The last iteration makes no update, and the initial states'
         # entanglement takes the general form's three eigvalsh.
         assert count(5) == (5 * per_iter - 2 + 3 if ent else 5 * per_iter - 1)
+
+    @pytest.mark.parametrize("name", ["gamma1", "gamma3"])
+    def test_qubit_map_needs_no_eigendecomposition(self, monkeypatch, name):
+        # The Pauli step takes every entropy, log and top eigenvector in
+        # closed form, for CP and signed qubit maps alike.
+        ch = qcap.fixture_channel(name)
+        calls = []
+        for fn in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, fn, lambda *a, fn=fn, **k: calls.append(fn))
+        res = run(ch, canonical_qubit_start(), SolverConfig(max_iters=6))
+        assert res.iterations_used == 6
+        assert calls == []
 
     @pytest.mark.parametrize(
         "pair, dims",
@@ -420,7 +444,8 @@ class TestMultiStart:
     @pytest.mark.parametrize("pair", [("gamma4",), ("gamma2", "gamma4")])
     def test_batched_starts_equal_solo_runs(self, pair):
         # gamma4 at seed 42 stops its starts after 28, 29, 31, 41 and 34
-        # iterations, so starts leave the stack at different steps.
+        # iterations, so starts leave the stack at different steps.  gamma4
+        # takes the Pauli step, the product the ket step.
         g = qcap.fixture_channel
         ch = g(pair[0]) if len(pair) == 1 else tensor(g(pair[0]), g(pair[1]))
         dims = (2, 2) if len(pair) == 2 else None
