@@ -15,6 +15,11 @@ and cached, so a batch of inputs costs one matrix product however many
 generators the channel has.  A qubit -> qubit map also caches the real
 4 x 4 form of `T` in the Pauli basis.  A channel's arrays are read-only,
 which keeps the cached matrices in step with the generators.
+
+This module owns the qubit Pauli convention: `PAULI_BASIS` and its
+batched conversions `_pauli_coords`, `_pauli_operators` and
+`_bloch_states` serve the affine maps, the Bloch helpers and the
+solver's Pauli-basis step alike.
 """
 
 from __future__ import annotations
@@ -36,16 +41,29 @@ from .linalg import (
 TP_ATOL = 1e-9
 KRAUS_CUT = 1e-12
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 # Rows are the row-major flattened `s_0 = I, s_x, s_y, s_z`, so the Pauli
 # coordinates `x_j = Tr[s_j X]` of a 2 x 2 X are `vec(X) conj(PAULI_BASIS)'`
 # and `X = x PAULI_BASIS / 2`.
-PAULI_BASIS = np.stack([np.eye(2, dtype=complex), *PAULI]).reshape(4, 4)
+PAULI_BASIS = np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]],
+    dtype=complex,
+)
+
+
+def _pauli_coords(X: np.ndarray) -> np.ndarray:
+    # Pauli coordinates `x_j = Tr[s_j X]` of a (..., 2, 2) stack, real
+    # parts only: exact for Hermitian X.
+    return (X.reshape(*X.shape[:-2], 4) @ PAULI_BASIS.conj().T).real
+
+
+def _pauli_operators(x: np.ndarray) -> np.ndarray:
+    # The (..., 2, 2) operators `x . s / 2` of a (..., 4) coordinate stack.
+    return (x @ PAULI_BASIS / 2).reshape(*x.shape[:-1], 2, 2)
+
+
+def _bloch_states(theta: np.ndarray) -> np.ndarray:
+    # The (..., 2, 2) states `(I + theta . s) / 2` of a (..., 3) Bloch stack.
+    return _pauli_operators(np.concatenate([np.ones((*theta.shape[:-1], 1)), theta], axis=-1))
 
 
 class CompletePositivityError(ValueError):
@@ -225,32 +243,17 @@ def _channel_from_choi(
 def affine_to_channel(aff: AffineQubit, name: str | None = None, *, allow_non_cp: bool = False) -> Channel:
     """Convert a Bloch-ball affine map to operator-sum form.
 
-    The Choi operator is assembled from the images of the matrix units
-    and eigendecomposed; components below 1e-12 in magnitude are
-    dropped.  A Choi eigenvalue below -1e-9 means the affine data is not
-    completely positive, which raises CompletePositivityError unless
-    `allow_non_cp` is set, in which case the offending components are
-    kept with sign -1 and the returned map reproduces the affine action
-    exactly.
+    `(A, b)` is the Pauli transfer matrix `R = [[1, 0], [b, A]]`, from
+    which the Choi operator is built and eigendecomposed; components
+    below 1e-12 in magnitude are dropped.  A Choi eigenvalue below -1e-9
+    means the affine data is not completely positive, which raises
+    CompletePositivityError unless `allow_non_cp` is set, in which case
+    the offending components are kept with sign -1 and the returned map
+    reproduces the affine action exactly.
     """
-    A, b = aff.A, aff.b
-    eye = np.eye(2, dtype=complex)
-
-    def image(M):
-        # Extend rho_theta -> rho_{A theta + b} linearly to all of C^{2x2}.
-        c0 = np.trace(M) / 2
-        c = np.array([np.trace(s @ M) / 2 for s in PAULI])
-        out = c0 * (eye + sum(bi * s for bi, s in zip(b, PAULI)))
-        for j in range(3):
-            out = out + c[j] * sum(A[i, j] * PAULI[i] for i in range(3))
-        return out
-
-    C = np.zeros((4, 4), dtype=complex)
-    for k in range(2):
-        for l in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[k, l] = 1.0
-            C += kron(E, image(E))
+    R = np.block([[np.ones((1, 1)), np.zeros((1, 3))], [aff.b[:, None], aff.A]])
+    T = PAULI_BASIS.T @ R @ PAULI_BASIS.conj() / 2  # inverts `Channel._pauli_transfer`
+    C = T.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
     return _channel_from_choi(hermitize(C), 2, 2, name, aff, allow_non_cp)
 
 
@@ -322,10 +325,7 @@ def bloch_state(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {theta.shape}")
-    rho = np.eye(2, dtype=complex)
-    for t, s in zip(theta, PAULI):
-        rho = rho + t * s
-    return rho / 2
+    return _bloch_states(theta)
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -333,7 +333,7 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    return np.array([np.trace(s @ rho).real for s in PAULI])
+    return _pauli_coords(rho)[1:]
 
 
 def _matrix_to_wire(M: np.ndarray) -> list:

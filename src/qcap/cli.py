@@ -25,14 +25,7 @@ import numpy as np
 from .channels import Channel, _matrix_to_wire, load_channel, tensor, tp_residual, validate
 from .entropy import entanglement
 from .fixtures import FIXTURE_NAMES, fixture_channel
-from .solver import (
-    MAX_DECIMAL_PLACES,
-    CapacityResult,
-    SolverConfig,
-    initial_ensemble,
-    multi_start,
-    run,
-)
+from .solver import MAX_DECIMAL_PLACES, CapacityResult, SolverConfig, multi_start
 
 MAX_PRODUCT_DIM = 16
 
@@ -184,9 +177,10 @@ def cmd_regularized(args) -> int:
         )
     # The product's generators multiply even where its dimension does not
     # grow (a 1 x 1 channel); MAX_PRODUCT_DIM ** 2 is the most a channel
-    # at the dimension budget needs.
+    # at the dimension budget needs.  Each copy counts as at least two
+    # generators, so a one-generator channel is bounded too.
     gens = ch.n_generators
-    if gens > 1 and args.copies > _max_copies(gens, MAX_PRODUCT_DIM**2):
+    if args.copies > _max_copies(max(gens, 2), MAX_PRODUCT_DIM**2):
         raise InputError(
             f"{args.copies} copies of a channel with {gens} generators "
             f"exceed the generator budget ({MAX_PRODUCT_DIM**2})"
@@ -218,9 +212,9 @@ def cmd_trace(args) -> int:
     lhs = _channel(args.lhs)
     rhs = _channel(args.rhs)
     prod = tensor(lhs, rhs)
-    cfg = _config(args).resolved(prod)
-    init = initial_ensemble(prod.dim_in, cfg.n_states, cfg.seed, 0)
-    res = run(prod, init, cfg, ent_dims=(lhs.dim_in, rhs.dim_in))
+    # Start 0 alone; `--starts` is checked but not used.
+    cfg = dataclasses.replace(_config(args).resolved(prod), starts=1)
+    res = multi_start(prod, cfg, ent_dims=(lhs.dim_in, rhs.dim_in))
     _emit(_trace_rows(res), args.out)
     return _strict_exit(args, res)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PAULI_BASIS, Channel, _apply_batch, _dual_apply_batch
+from .channels import Channel, _apply_batch, _bloch_states, _dual_apply_batch, _pauli_coords
 from .entropy import Ensemble, _entanglement_terms, _holevo_terms, _schmidt_terms
 from .linalg import _entropy_and_log, _pauli_entropy_and_log, hermitize
 
@@ -188,17 +188,6 @@ def _pauli_path(ch: Channel, ent_dims: tuple[int, int] | None) -> bool:
     # Whether `_iterate` takes the Pauli-basis step; the entanglement
     # monitor reads kets, so a tracked run keeps the ket step.
     return ch.dim_in == ch.dim_out == 2 and ent_dims is None
-
-
-def _pauli_coords(states: np.ndarray) -> np.ndarray:
-    # Pauli coordinates `x_j = Tr[s_j rho]` of a (..., 2, 2) stack.
-    return (states.reshape(*states.shape[:-2], 4) @ PAULI_BASIS.conj().T).real
-
-
-def _bloch_states(theta: np.ndarray) -> np.ndarray:
-    # The pure states `(I + theta . s)/2` of an (n, 3) stack of unit Bloch vectors.
-    x = np.concatenate([np.ones((len(theta), 1)), theta], axis=1)
-    return (x @ PAULI_BASIS / 2).reshape(-1, 2, 2)
 
 
 def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray, weight_floor: float):

@@ -25,8 +25,8 @@ from qcap import (
     tp_residual,
     validate,
 )
-from qcap.channels import _apply_batch, _dual_apply_batch
-from support import PAULI_X, random_density, random_hermitian
+from qcap.channels import _apply_batch, _dual_apply_batch, _pauli_operators
+from support import PAULI_X, PAULI_Y, PAULI_Z, random_density, random_hermitian
 
 
 def identity_channel(dim=2):
@@ -163,14 +163,25 @@ class TestAffineToChannel:
             affine_to_channel(AffineQubit(np.eye(3), np.array([0.0, 0.0, 0.5])))
 
     def test_bloch_action_matches_affine_data(self, rng):
+        # One CP map and 20 seeded signed ones.  Each channel's Pauli
+        # transfer matrix is `[[1, 0], [b, A]]`, the relation that
+        # `affine_to_channel` inverts.
         A = np.array([[0.05, -0.2, 0.4], [-0.2, -0.05, -0.2], [0.2, 0.0, -0.5]])
-        b = np.array([0.0, 0.0, 0.1])
-        ch = affine_to_channel(AffineQubit(A, b))
-        for _ in range(25):
-            theta = rng.standard_normal(3)
-            theta /= max(np.linalg.norm(theta), 1.0)
-            out = apply(ch, bloch_state(theta))
-            assert_allclose(bloch_vector(out), A @ theta + b, atol=1e-9)
+        maps = [(A, np.array([0.0, 0.0, 0.1]), False)]
+        signed = np.random.default_rng(20)
+        maps += [(signed.uniform(-1, 1, (3, 3)), signed.uniform(-0.5, 0.5, 3), True) for _ in range(20)]
+        n_signed = 0
+        for A, b, allow_non_cp in maps:
+            ch = affine_to_channel(AffineQubit(A, b), allow_non_cp=allow_non_cp)
+            n_signed += bool(np.any(ch.signs < 0))
+            R = np.block([[np.ones((1, 1)), np.zeros((1, 3))], [b[:, None], A]])
+            assert_allclose(ch._pauli_transfer, R, atol=1e-12)
+            for _ in range(25):
+                theta = rng.standard_normal(3)
+                theta /= max(np.linalg.norm(theta), 1.0)
+                out = apply(ch, bloch_state(theta))
+                assert_allclose(bloch_vector(out), A @ theta + b, atol=1e-9)
+        assert n_signed > 10
 
     @pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma3", "gamma4"])
     def test_affine_readback(self, name):
@@ -388,3 +399,13 @@ class TestBlochHelpers:
             bloch_state([1.0, 0.0])
         with pytest.raises(ValueError):
             bloch_vector(np.eye(3))
+
+    def test_basis_is_the_textbook_paulis(self):
+        # A sign flip of sigma_y is complex conjugation and leaves every
+        # capacity unchanged, so only a direct comparison catches it.
+        paulis = [PAULI_X, PAULI_Y, PAULI_Z]
+        for e, P in zip(np.eye(3), paulis):
+            assert_allclose(bloch_state(e), (np.eye(2) + P) / 2, atol=1e-15)
+            assert_allclose(bloch_state(-e), (np.eye(2) - P) / 2, atol=1e-15)
+            assert_allclose(bloch_vector(P), 2 * e, atol=1e-15)
+        assert_allclose(_pauli_operators(np.eye(4)), np.stack([np.eye(2), *paulis]) / 2, atol=1e-15)

@@ -262,20 +262,20 @@ class TestRegularized:
     def test_generator_budget_refused_before_any_tensor(self, tmp_path, monkeypatch, capsys):
         # A 1 x 1 channel never grows, but its two generators make
         # 2 ** copies; the budget is 256, where gamma1's four copies sit.
+        # One generator never multiplies, so each copy counts as two.
         from qcap import cli
 
-        path = tmp_path / "scalar.json"
-        path.write_text(json.dumps(
-            {"name": "scalar", "kind": "kraus", "kraus": [[[[0.6, 0.0]]], [[[0.8, 0.0]]]]}
-        ))
         assert cli._max_copies(4, 256) == 4
-        with monkeypatch.context() as m:
-            m.setattr(cli, "tensor", lambda *args: pytest.fail("tensor called"))
-            for copies in ("9", "40", "100000"):
-                assert cli.main(["regularized", "--channel", str(path), "--copies", copies]) == 2
-                assert "generator budget (256)" in capsys.readouterr().err
-        assert cli.main(["regularized", "--channel", str(path), "--copies", "8"]) == 0
-        assert json.loads(capsys.readouterr().out)["copies"] == 8
+        path = tmp_path / "scalar.json"
+        for kraus in ([[[[0.6, 0.0]]], [[[0.8, 0.0]]]], [[[[1.0, 0.0]]]]):
+            path.write_text(json.dumps({"name": "scalar", "kind": "kraus", "kraus": kraus}))
+            with monkeypatch.context() as m:
+                m.setattr(cli, "tensor", lambda *args: pytest.fail("tensor called"))
+                for copies in ("9", "40", "100000"):
+                    assert cli.main(["regularized", "--channel", str(path), "--copies", copies]) == 2
+                    assert "generator budget (256)" in capsys.readouterr().err
+            assert cli.main(["regularized", "--channel", str(path), "--copies", "8"]) == 0
+            assert json.loads(capsys.readouterr().out)["copies"] == 8
 
 
 class TestTrace:
@@ -312,6 +312,13 @@ class TestTrace:
         rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
         assert len(rows) > 100
         assert all(float(r[2]) >= 0 for r in rows[1:])
+
+    def test_starts_checked_though_unused(self, capsys):
+        # The trace runs start 0 alone, but a bad --starts is still refused.
+        from qcap import cli
+
+        assert cli.main(["trace", "--lhs", "gamma1", "--rhs", "gamma1", "--starts", "0"]) == 2
+        assert "starts" in capsys.readouterr().err
 
 
 class TestValidate:
