@@ -337,7 +337,8 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 
 
 def _matrix_to_wire(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def _matrix_from_wire(rows) -> np.ndarray:

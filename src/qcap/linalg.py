@@ -15,6 +15,22 @@ HERM_ATOL = 1e-10
 PSD_ATOL = 1e-9
 LOG_FLOOR = 1e-12
 
+# `_top_kets` takes a ket by inverse iteration only on a row whose top
+# eigenvalue stands this far above the next one, relative to the row's
+# spectral radius; other rows (degenerate tops, multiples of the
+# identity) take eigh's ket.  Two inverse-iteration steps leave each
+# other eigenvector in the ket at about `(shift/gap)^2` of its size, so
+# at this gap and `_SHIFT_REL` below that is 1e-12 at most.
+TOP_GAP_REL = 1e-6
+# ... and only while the unit ket's residual `|Hx - lambda x|` stays below
+# this share of the radius; eigh's own kets leave about 1e-15.
+TOP_RESIDUAL_REL = 1e-12
+# Inverse iteration shifts the top eigenvalue up by this share of the
+# radius.  A shift of a few ulps let an LU pivot round to exactly 0 (on a
+# `gamma1^(x)4` dual image); one this large keeps every pivot far above
+# rounding.
+_SHIFT_REL = 1e-12
+
 _MINUS_PLUS = np.array([-1.0, 1.0])
 _TINY = np.finfo(float).tiny
 
@@ -48,8 +64,11 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     of Hermitian factors before feeding them back into an eigensolver.
     """
     M = np.asarray(M)
-    # Halved in place: the iteration hermitizes several stacks per step.
-    H = np.add(M, M.conj().swapaxes(-1, -2), dtype=np.result_type(M.dtype, 0.5))
+    # `M†` is copied out contiguous, and `M` is added and the sum halved in
+    # place: the iteration hermitizes several stacks per step, and a sum
+    # that read `M†` as a strided view would cost half as much again.
+    H = np.conjugate(M.swapaxes(-1, -2), order="C", dtype=np.result_type(M.dtype, 0.5))
+    H += M
     H /= 2
     return H
 
@@ -77,6 +96,47 @@ def herm_eig(H: np.ndarray) -> EigenDecomposition:
             pivot = col[idx[0]]
             col *= np.abs(pivot) / pivot
     return EigenDecomposition(w, V)
+
+
+def _top_kets(H: np.ndarray) -> np.ndarray:
+    # Unit kets of the top eigenvalue of each matrix of an (m, d, d)
+    # Hermitian stack, as an (m, d) array; each ket is fixed up to phase.
+    # One eigvalsh gives every row's top eigenvalue `lam`, the gap below it
+    # and its radius; two steps of inverse iteration on `H - (lam + shift)`
+    # then give the ket.  A row whose gap or residual fails the checks
+    # above takes the last column of eigh instead, the ket eigh would give
+    # in any case (for a multiple of the identity, |d-1>).  No solve runs
+    # on a row without a gap, so none is singular.
+    m, d = H.shape[0], H.shape[-1]
+    if d == 1:
+        return np.ones((m, 1), dtype=complex)
+    w = np.linalg.eigvalsh(H)
+    lam = w[:, -1]
+    radius = np.maximum(-w[:, 0], lam)
+    shift = _SHIFT_REL * radius
+    kets = np.empty((m, d), dtype=complex)
+    rows = np.flatnonzero(lam - w[:, -2] > TOP_GAP_REL * radius)
+    if rows.size:
+        shift_r = shift[rows, None]
+        A = H[rows]  # a copy, shifted on its diagonal in place
+        A.reshape(-1, d * d)[:, :: d + 1] -= lam[rows, None] + shift_r
+        # A fixed start with no structure, so that no symmetry of H makes it
+        # orthogonal to the top ket.  Each right-hand side is scaled by its
+        # row's shift, which keeps the solutions near unit length.
+        x = np.exp(1j * np.arange(d)) / np.sqrt(d)
+        for _ in range(2):
+            x = np.linalg.solve(A, (shift_r * x)[..., None])[..., 0]
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+        # `Hx - lam x`, read off the shifted matrix.
+        residual = np.linalg.norm((A @ x[..., None])[..., 0] + shift_r * x, axis=1)
+        good = residual <= TOP_RESIDUAL_REL * radius[rows]
+        rows = rows[good]
+        kets[rows] = x[good]
+    rest = np.ones(m, dtype=bool)
+    rest[rows] = False
+    if rest.any():
+        kets[rest] = np.linalg.eigh(H[rest])[1][..., -1]
+    return kets
 
 
 def matrix_log_psd(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:

@@ -4,10 +4,12 @@ The capacity `C = max_pi I(pi)` is approached by alternating between
 two coupled ensembles.  Given the current ensemble, each state is
 replaced by the top eigenvector of the dual image of its own ascent
 operator `Phi_i = log G(s_i) - log G(rho_bar)`, and each weight is
-rescaled by `exp(Tr[G(s_new_i) Phi_i])`.  The mutual information is
-non-decreasing along the iteration, sandwiched by the surrogate `J`
-between consecutive ensembles, and the run stops once a fixed number of
-successive values agree to a fixed number of decimals.
+rescaled by `exp(Tr[G(s_new_i) Phi_i])`.  Nothing else of the dual
+image's spectrum is read, so its top eigenpair is all that is computed.
+The mutual information is non-decreasing along the iteration,
+sandwiched by the surrogate `J` between consecutive ensembles, and the
+run stops once a fixed number of successive values agree to a fixed
+number of decimals.
 
 Random restarts guard against the non-concavity of `I` in the states;
 `multi_start` runs a deterministic first start plus seeded random ones
@@ -26,7 +28,7 @@ import numpy as np
 
 from .channels import Channel, _apply_batch, _bloch_states, _dual_apply_batch, _pauli_coords
 from .entropy import Ensemble, _entanglement_terms, _holevo_terms, _schmidt_terms
-from .linalg import _entropy_and_log, _pauli_entropy_and_log, hermitize
+from .linalg import _entropy_and_log, _pauli_entropy_and_log, _top_kets, hermitize
 
 # Not called here, but bench/tracing.py wraps these bindings, so they stay.
 from .entropy import entanglement, mutual_info  # noqa: F401
@@ -160,15 +162,15 @@ def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray, weight_floor: fl
     # The alternating update of every row of an (s, n) weight stack, given
     # its (s, n, d_out, d_out) ascent operators: each state becomes the top
     # eigenvector of `G*(Phi_i)`, each weight is rescaled by
-    # `exp(Tr[G(s_new_i) Phi_i])`.  Returns the new weights, the (s, n, d)
-    # kets of the new states and their outputs, which the next
-    # iteration's Holevo terms take as given.
+    # `exp(Tr[G(s_new_i) Phi_i])`.  Only the top eigenpair is read, so the
+    # dual images take one eigvalsh and inverse iteration (`_top_kets`),
+    # not a full eigh.  Returns the new weights, the (s, n, d) kets of the
+    # new states and their outputs, which the next iteration's Holevo
+    # terms take as given.
     s, n = weights.shape
     d, do = ch.dim_in, ch.dim_out
     phis = phis.reshape(s * n, do, do)
-    _, vecs = np.linalg.eigh(hermitize(_dual_apply_batch(ch, phis)))
-    psi = np.ascontiguousarray(vecs[..., -1])
-    del vecs
+    psi = _top_kets(hermitize(_dual_apply_batch(ch, phis)))
     outs = _apply_batch(ch, _projectors(psi))
     scores = np.einsum("nab,nba->n", outs, phis).real.reshape(s, n)
     return _reweight(weights, scores, weight_floor), psi.reshape(s, n, d), outs.reshape(s, n, do, do)
@@ -232,12 +234,13 @@ def _iterate(
     """Iterate every start in `inits` as one stack; one result per start.
 
     Each iteration takes the mutual information and ascent operators of
-    all starts from one eigh of their outputs and one of their averages,
-    and updates them with one eigh of the dual images and one apply of
-    the new states, whose outputs the next iteration reuses.  A start
-    that meets the stop rule (or `max_iters`) leaves the stack with its
-    result; the others go on.  Starts never mix, so each result is the
-    one the start would reach alone.
+    all starts from one eigh of their outputs and one of their averages.
+    It updates them with one eigvalsh of the dual images, whose top kets
+    then come by inverse iteration (eigh only for a row with no gap below
+    its top), and one apply of the new states, whose outputs the next
+    iteration reuses.  A start that meets the stop rule (or `max_iters`)
+    leaves the stack with its result; the others go on.  Starts never
+    mix, so each result is the one the start would reach alone.
 
     After the first update the stack is held as kets, and a state matrix
     is built only for a returned result.  The tracked entanglement of the

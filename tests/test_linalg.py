@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qcap.linalg
 from qcap import herm_eig, hermitize, kron, matrix_log_psd, partial_trace, trace_product
+from qcap.linalg import TOP_GAP_REL, _top_kets
 from support import PAULI_X, PAULI_Y, PAULI_Z, exp_herm, random_hermitian
 
 
@@ -170,3 +174,98 @@ def test_hermitize_projects(rng):
     assert_allclose(hermitize(H), H, atol=1e-15)
     stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     assert_allclose(hermitize(stack), (stack + stack.conj().transpose(0, 2, 1)) / 2, atol=1e-15)
+
+
+def test_hermitize_is_bit_identical_to_the_plain_formula(rng):
+    # Each entry is still `(M_ij + conj(M_ji)) / 2`, one addition and one
+    # exact halving, so the order of the passes changes no bit.
+    for M in (
+        rng.standard_normal((8, 16, 16)) + 1j * rng.standard_normal((8, 16, 16)),
+        rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)),
+        rng.standard_normal((4, 3, 3)),
+        np.arange(9).reshape(3, 3),
+    ):
+        want = (M + M.conj().swapaxes(-1, -2)) / 2
+        got = hermitize(M)
+        assert got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+def top_kets_quietly(H):
+    # Any floating-point warning, numpy's or Python's, fails the test.
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _top_kets(H)
+
+
+def random_hermitian_stack(rng, m, d, scale=1.0):
+    G = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    return scale * (G + G.conj().swapaxes(1, 2)) / 2
+
+
+class TestTopKets:
+    def check_against_eigh(self, H):
+        # Returns the mask of rows whose top eigenvalue has a gap.
+        kets = top_kets_quietly(H)
+        w, V = np.linalg.eigh(H)
+        ref = V[..., -1]
+        radius = np.abs(w).max(axis=1)
+        assert kets.shape == ref.shape
+        assert_allclose(np.linalg.norm(kets, axis=1), 1.0, rtol=0, atol=1e-14)
+        rayleigh = np.einsum("ma,mab,mb->m", kets.conj(), H, kets).real
+        assert np.all(np.abs(rayleigh - w[:, -1]) <= 1e-13 * radius)
+        gap = w[:, -1] - w[:, -2]
+        gapped = gap > TOP_GAP_REL * radius
+        # eigh's ket and inverse iteration's both lie within a few
+        # `eps * radius / gap` of the exact one, so they agree to that up to
+        # a phase.  A row without a gap takes eigh's ket itself.
+        overlap = np.einsum("ma,ma->m", ref.conj(), kets)
+        phase = overlap / np.maximum(np.abs(overlap), 1e-300)
+        dev = np.abs(kets - ref * phase[:, None]).max(axis=1)
+        assert np.all(dev[gapped] <= 1e-13 * radius[gapped] / gap[gapped])
+        assert np.array_equal(kets[~gapped], ref[~gapped])
+        return gapped
+
+    @pytest.mark.parametrize("d", [2, 3, 9, 16])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+    def test_random_stacks(self, rng, d, scale):
+        assert self.check_against_eigh(random_hermitian_stack(rng, 64, d, scale)).all()
+
+    def test_dimension_one(self, rng):
+        H = random_hermitian_stack(rng, 5, 1)
+        kets = top_kets_quietly(H)
+        assert np.array_equal(kets, np.linalg.eigh(H)[1][..., -1])
+        assert np.array_equal(kets, np.ones((5, 1)))
+
+    def test_multiples_of_the_identity_take_the_last_basis_ket(self):
+        H = np.array([c * np.eye(3) for c in (2.5, -1.0, 0.0)], dtype=complex)
+        assert not self.check_against_eigh(H).any()
+        assert np.array_equal(top_kets_quietly(H), np.tile([0, 0, 1.0 + 0j], (3, 1)))
+
+    def test_repeated_top_eigenvalue_takes_eighs_ket(self, rng):
+        U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        rows = [
+            np.diag([3.0, 3.0, 1.0, 0.5]),
+            U @ np.diag([3.0, 1.0, 3.0, 0.5]) @ U.conj().T,
+            random_hermitian_stack(rng, 1, 4)[0],
+        ]
+        gapped = self.check_against_eigh(np.array(rows, dtype=complex))
+        assert gapped.tolist() == [False, False, True]
+
+    def test_diagonal_matrices(self):
+        H = np.array([np.diag(v) for v in ([1.0, 5.0, 2.0], [-4.0, 0.0, 1.0], [7.0, 7.0 - 1e-4, 3.0])],
+                     dtype=complex)
+        assert self.check_against_eigh(H).all()
+        # The last row's gap of 1e-4 leaves `(7e-12 / 1e-4)^2` of the next ket.
+        assert_allclose(np.abs(top_kets_quietly(H)), np.eye(3)[[1, 2, 0]], rtol=0, atol=1e-14)
+
+    def test_gapped_stack_needs_no_eigh(self, rng, monkeypatch):
+        H = random_hermitian_stack(rng, 32, 9)
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
+        top_kets_quietly(H)
+
+    def test_untrusted_residuals_take_eighs_ket(self, rng, monkeypatch):
+        H = random_hermitian_stack(rng, 16, 5)
+        monkeypatch.setattr(qcap.linalg, "TOP_RESIDUAL_REL", 0.0)
+        assert np.array_equal(top_kets_quietly(H), np.linalg.eigh(H)[1][..., -1])

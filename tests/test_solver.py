@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -308,34 +309,39 @@ class TestRun:
 
     @pytest.mark.parametrize("ent, per_iter", [(False, 3), (True, 4)])
     def test_eigendecompositions_per_iteration(self, monkeypatch, ent, per_iter):
-        # One eigh of the outputs, one of their average, one of the dual
-        # images; plus, for the traced entanglement, one eigvalsh of each
-        # updated stack's smaller marginals.
+        # Two eigh, of the outputs and of their average, and one eigvalsh of
+        # the dual images, whose top kets then come by inverse iteration;
+        # plus, for the traced entanglement, one eigvalsh of each updated
+        # stack's smaller marginals.
         g = qcap.fixture_channel
         product = tensor(g("gamma2"), g("gamma4"))
         dims = (2, 2) if ent else None
-        calls = []
+        calls = {"eigh": 0, "eigvalsh": 0}
 
-        def counting(fn):
+        def counting(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(fn)
+                calls[name] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
 
         def count(iters):
-            calls.clear()
+            for name in calls:
+                calls[name] = 0
             init = initial_ensemble(4, 16, 0, 0)
             run(product, init, SolverConfig(max_iters=iters), ent_dims=dims)
-            return len(calls)
+            return dict(calls)
 
-        assert count(6) - count(5) == per_iter
-        # The last iteration makes no update, and the initial states'
-        # entanglement takes the general form's three eigvalsh.
-        assert count(5) == (5 * per_iter - 2 + 3 if ent else 5 * per_iter - 1)
+        five, six = count(5), count(6)
+        assert six["eigh"] - five["eigh"] == 2
+        assert six["eigvalsh"] - five["eigvalsh"] == per_iter - 2
+        # The last iteration makes no update (four updates in five
+        # iterations), and the initial states' entanglement takes the
+        # general form's three eigvalsh.
+        assert five == {"eigh": 10, "eigvalsh": (4 + 4 + 3) if ent else 4}
 
     @pytest.mark.parametrize("name", ["gamma1", "gamma3"])
     def test_qubit_map_needs_no_eigendecomposition(self, monkeypatch, name):
@@ -467,6 +473,24 @@ class TestMultiStart:
         best = multi_start(ch, cfg, dims)
         assert best.capacity == batched[best.start_index].capacity
         assert all(r.capacity <= best.capacity + qcap.solver.START_TIE_NATS for r in batched)
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [
+            # 1 -> 2: prepares one fixed state from the one input state.
+            (np.sqrt([0.7, 0.3])[:, None] * np.eye(2))[..., None],
+            # 2 -> 1: the trace, whose dual images are multiples of the identity.
+            np.eye(2).reshape(2, 1, 2),
+        ],
+        ids=["preparation", "trace"],
+    )
+    def test_dimension_one_maps_carry_nothing(self, kraus):
+        ch = Channel(kraus.astype(complex))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = multi_start(ch, SolverConfig(seed=4))
+        assert res.capacity == pytest.approx(0.0, abs=1e-12)
+        assert res.converged and res.iterations_used == 10
 
     def test_result_is_replaceable(self):
         # start_index is attached via dataclass replace; the rest survives.
