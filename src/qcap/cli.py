@@ -111,7 +111,7 @@ def _trace_rows(res: CapacityResult) -> str:
 
 
 def _strict_exit(args, *results: CapacityResult) -> int:
-    if getattr(args, "strict", False) and not all(r.converged for r in results):
+    if args.strict and not all(r.converged for r in results):
         print("error: solver did not converge within --max-iters", file=sys.stderr)
         return 4
     return 0
@@ -188,13 +188,7 @@ def cmd_regularized(args) -> int:
     if ch.dim_in**args.copies >= 8:
         print("note: this many copies is slow; expect a long solve", file=sys.stderr)
     single = multi_start(ch, dataclasses.replace(_config(args), n_states=None, starts=None))
-    # Tensored unnamed and named once: nested names cost quadratic time.
-    factor = Channel(ch.kraus, ch.signs)
-    prod = factor
-    for _ in range(args.copies - 1):
-        prod = tensor(prod, factor)
-    if ch.name:
-        prod = Channel(prod.kraus, prod.signs, name="(x)".join([ch.name] * args.copies))
+    prod = functools.reduce(tensor, [ch] * args.copies)
     res = multi_start(prod, _config(args))
     report = _result_fields(res)
     report.update(
@@ -222,34 +216,24 @@ def cmd_trace(args) -> int:
 def cmd_validate(args) -> int:
     ch = _channel(args.channel, usable=False)
     report = validate(ch)
-    _emit(
-        {
-            "name": ch.name,
-            "tp_residual": report.tp_residual,
-            "tp_ok": report.tp_ok,
-            "choi_min_eigenvalue": report.choi_min_eigenvalue,
-            "cp_ok": report.cp_ok,
-            "affine_min_eigenvalue": report.affine_min_eigenvalue,
-            "checks_agree": report.checks_agree,
-            "passed": report.passed,
-        },
-        args.out,
-    )
+    _emit({"name": ch.name, **dataclasses.asdict(report)}, args.out)
     return 0 if report.passed else 2
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    defaults = SolverConfig()
     p.add_argument("--states", type=int, default=None,
                    help="ensemble size (default: input dimension squared)")
     p.add_argument("--starts", type=int, default=None,
                    help="number of restarts (default: 5, or 3 for dimension >= 9)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random starts")
-    p.add_argument("--places", type=int, default=6,
+    p.add_argument("--seed", type=int, default=defaults.seed, help="seed for the random starts")
+    p.add_argument("--places", type=int, default=defaults.decimal_places,
                    help=f"decimal places that must agree for convergence "
-                        f"(1 to {MAX_DECIMAL_PLACES}, default 6)")
-    p.add_argument("--patience", type=int, default=10,
+                        f"(1 to {MAX_DECIMAL_PLACES}, default {defaults.decimal_places})")
+    p.add_argument("--patience", type=int, default=defaults.patience,
                    help="successive agreeing values required for convergence")
-    p.add_argument("--max-iters", type=int, default=100000, help="iteration cap per start")
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters,
+                   help="iteration cap per start")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--strict", action="store_true",
                    help="exit with code 4 if any run fails to converge")

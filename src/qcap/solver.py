@@ -53,7 +53,6 @@ class SolverConfig:
     decimal_places: int = 6
     patience: int = 10
     max_iters: int = 100000
-    weight_floor: float = 0.0
 
     def resolved(self, ch: Channel) -> "SolverConfig":
         n = self.n_states if self.n_states is not None else default_n_states(ch.dim_in)
@@ -66,13 +65,6 @@ class SolverConfig:
         if not (isinstance(places, (int, np.integer)) and 1 <= places <= MAX_DECIMAL_PLACES):
             raise ValueError(
                 f"decimal_places must be an integer from 1 to {MAX_DECIMAL_PLACES}, got {places!r}"
-            )
-        # The largest weight is at least 1/n of the total, so a floor up
-        # to 1/n always leaves a nonzero weight to renormalize by.
-        if not (0 <= self.weight_floor <= 1 / n):
-            raise ValueError(
-                f"weight_floor must be finite, nonnegative and at most 1/n_states = 1/{n}, "
-                f"got {self.weight_floor!r}"
             )
         return dataclasses.replace(self, n_states=n, starts=s)
 
@@ -158,7 +150,7 @@ def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble
     return random_start(dim, n_states, np.random.default_rng([seed, index]))
 
 
-def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray, weight_floor: float):
+def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray):
     # The alternating update of every row of an (s, n) weight stack, given
     # its (s, n, d_out, d_out) ascent operators: each state becomes the top
     # eigenvector of `G*(Phi_i)`, each weight is rescaled by
@@ -173,15 +165,13 @@ def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray, weight_floor: fl
     psi = _top_kets(hermitize(_dual_apply_batch(ch, phis)))
     outs = _apply_batch(ch, _projectors(psi))
     scores = np.einsum("nab,nba->n", outs, phis).real.reshape(s, n)
-    return _reweight(weights, scores, weight_floor), psi.reshape(s, n, d), outs.reshape(s, n, do, do)
+    return _reweight(weights, scores), psi.reshape(s, n, d), outs.reshape(s, n, do, do)
 
 
-def _reweight(weights: np.ndarray, scores: np.ndarray, weight_floor: float) -> np.ndarray:
+def _reweight(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
     # Each weight times `exp(score)`, shifted by the row's largest score so
-    # that no factor overflows, floored and renormalized per row.
+    # that no factor overflows, renormalized per row.
     new_w = weights * np.exp(scores - scores.max(axis=1, keepdims=True))
-    if weight_floor > 0:
-        new_w[new_w < weight_floor * new_w.sum(axis=1, keepdims=True)] = 0.0
     new_w /= new_w.sum(axis=1, keepdims=True)
     return new_w
 
@@ -192,7 +182,7 @@ def _pauli_path(ch: Channel, ent_dims: tuple[int, int] | None) -> bool:
     return ch.dim_in == ch.dim_out == 2 and ent_dims is None
 
 
-def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray, weight_floor: float):
+def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
     # `_ascend` for a qubit -> qubit map with Pauli transfer matrix R, on
     # (s, n, 4) Pauli coordinates of the ascent operators.  The dual image
     # `G*(Phi_i)` has coordinates `g = phi R`; its top eigenvector is the
@@ -206,23 +196,8 @@ def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray, weight_f
     norm = np.sqrt(np.einsum("snj,snj->sn", gv, gv))
     theta = np.divide(gv, norm[..., None], out=np.zeros_like(gv), where=norm[..., None] > 0)
     theta[norm == 0, 2] = -1.0
-    new_w = _reweight(weights, (g[..., 0] + norm) / 2, weight_floor)
+    new_w = _reweight(weights, (g[..., 0] + norm) / 2)
     return new_w, theta, R[:, 0] + theta @ R[:, 1:].T
-
-
-def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
-    """One alternating update; returns a new ensemble of pure states.
-
-    Weight renormalization happens in shifted log space, so extreme
-    `exp(Tr[...])` factors cannot overflow.  Zero weights stay zero;
-    weights that land below `cfg.weight_floor` are zeroed outright.
-    """
-    if pi.dim != ch.dim_in:
-        raise ValueError(f"ensemble dimension {pi.dim} != channel input {ch.dim_in}")
-    floor = dataclasses.replace(cfg, n_states=pi.n_states).resolved(ch).weight_floor
-    _, phis = _holevo_terms(pi.weights[None], _apply_batch(ch, pi.states)[None])
-    weights, kets, _ = _ascend(ch, pi.weights[None], phis, floor)
-    return Ensemble(weights[0], _projectors(kets[0]))
 
 
 def _iterate(
@@ -307,7 +282,7 @@ def _iterate(
             rows = [rows[r] for r in keep]
             weights, phis = weights[keep], phis[keep]
         states = None  # the initial stack, read only until the first update
-        weights, pure, outs = ascend(op, weights, phis, cfg.weight_floor)
+        weights, pure, outs = ascend(op, weights, phis)
         del phis
         if ent_dims is not None:
             terms = _schmidt_terms(pure, *ent_dims)
@@ -335,6 +310,19 @@ def run(
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
     cfg = dataclasses.replace(config, n_states=init.n_states).resolved(ch)
     return _iterate(ch, [init], cfg, ent_dims)[0]
+
+
+def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
+    """One update of the solver's kernel; returns a new ensemble of pure states.
+
+    This is `run` stopped after its first update, so it takes the step
+    `run` takes: on a qubit -> qubit map the Pauli step, whose output
+    differs from the ket step's by rounding (about 1e-15).  Weights are
+    rescaled in shifted log space, so extreme `exp(Tr[...])` factors
+    cannot overflow, and zero weights stay zero.  Like `run`, it raises
+    `np.linalg.LinAlgError` if the mutual information is not finite.
+    """
+    return run(ch, pi, dataclasses.replace(cfg, max_iters=2)).ensemble
 
 
 def multi_start(
