@@ -76,8 +76,17 @@ def _holevo_terms(
     # the s averages give every entropy and log, clamped at LOG_FLOOR.
     # Qubit outputs may come as (s, n, 4) Pauli coordinates instead, with
     # `linalg._pauli_entropy_and_log`; the averages are linear either way.
-    ents, phis = entropy_and_log(outs)
-    ent_bar, log_bar = entropy_and_log(np.einsum("sn,sn...->s...", weights, outs))
+    # Its closed form costs little beyond its numpy calls' overhead, so
+    # there the averages are appended to the outputs, (s, n + 1, 4), and
+    # one call takes both.  An eigh costs its work, not its call, so the
+    # outputs and the averages keep one each, as the solver's tests count.
+    avg = np.einsum("sn,sn...->s...", weights, outs)
+    if entropy_and_log is _entropy_and_log:
+        ents, phis = entropy_and_log(outs)
+        ent_bar, log_bar = entropy_and_log(avg)
+    else:
+        ents, logs = entropy_and_log(np.concatenate([outs, avg[:, None]], axis=1))
+        ents, ent_bar, phis, log_bar = ents[:, :-1], ents[:, -1], logs[:, :-1], logs[:, -1]
     phis -= log_bar[:, None]
     return ent_bar - np.einsum("sn,sn->s", weights, ents), phis
 

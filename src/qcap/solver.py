@@ -15,7 +15,10 @@ Random restarts guard against the non-concavity of `I` in the states;
 `multi_start` runs a deterministic first start plus seeded random ones
 and keeps the best.  All starts of a solve iterate together as one
 stack, and each leaves the stack once it settles, so every start takes
-exactly the steps it would take alone.
+exactly the steps it would take alone.  Converged ensembles hold many
+copies of few states; the step on kets merges a start's coincident kets
+into one, iterates it once and expands the result back to every
+component, so the copies cost nothing once they meet.
 """
 
 from __future__ import annotations
@@ -41,6 +44,26 @@ START_TIE_NATS = 1e-12
 # Doubles resolve a capacity of a few nats to about 15 decimals, so a
 # stricter stop rule could never be met.
 MAX_DECIMAL_PLACES = 15
+
+# The ket step merges two kets of a start once `|a - e^{i phi} b| <= MERGE_TOL`
+# at the best phase.  A merged state moves by at most this much, so every
+# reported state stays within the 1e-12 to which the parity tests compare
+# the ket step with the Pauli step (at 1e-10, weight-scaled states moved by
+# 1.9e-11 there).  Kets of one state come out of `_top_kets` about 1e-15
+# apart, far below it.  Larger is faster: `gamma1^(x)4` merges sooner, and
+# its one-start solve took 2.4 s at 1e-10, 2.6 s at 1e-12 and 3.0 s at
+# 1e-13, against 4.4 s unmerged (one core, numpy 2.4).
+MERGE_TOL = 1e-12
+# ... tested every this many iterations.  The test's own time was 11 % of a
+# gamma5 solve (9 kets, d = 3) when run every iteration, 4 % at every 5th
+# and 2 % at every 10th; on gamma5 (x) gamma5 (d = 9) 3 %, 0.6 % and 0.4 %.
+# At 5 a group is merged at most 4 iterations after it meets.
+MERGE_EVERY = 5
+# Only pairs whose overlap `|<a|b>|` comes this close to 1 have their
+# distance computed.  Unit kets at distance r have `1 - |<a|b>| = r^2/2`,
+# 5e-25 at MERGE_TOL, so this margin need only exceed the overlap's
+# rounding; it admits pairs up to about 1.4e-6 apart.
+_MERGE_OVERLAP = 1 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,6 +199,66 @@ def _reweight(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return new_w
 
 
+def _merge_roots(kets: np.ndarray, sizes: np.ndarray) -> np.ndarray | None:
+    # For each ket of an (s, m, d) stack whose row r holds `sizes[r]` kets
+    # and then padding, the ket it merges into: the lowest-indexed ket of
+    # its row within MERGE_TOL of it (or itself), followed down until a ket
+    # merges into itself, so that a chain of near kets forms one group.
+    # None if no ket merges.  One overlap matmul picks the pairs near
+    # enough to measure, and only their distances are computed.
+    s, m, _ = kets.shape
+    overlap = kets.conj() @ kets.swapaxes(1, 2)  # <a_i|a_j>
+    flat = np.flatnonzero(np.abs(overlap) > _MERGE_OVERLAP)  # 3-d nonzero is slower
+    st, i, j = flat // (m * m), flat // m % m, flat % m
+    pairs = (j < i) & (i < sizes[st])
+    st, i, j = st[pairs], i[pairs], j[pairs]
+    # `e^{i phi} = <a_j|a_i> / |<a_j|a_i>|` brings ket j nearest ket i.
+    phase = overlap[st, i, j].conj()
+    phase /= np.abs(phase)
+    near = np.linalg.norm(kets[st, i] - phase[:, None] * kets[st, j], axis=1) <= MERGE_TOL
+    if not near.any():
+        return None
+    root = np.tile(np.arange(m), (s, 1))
+    np.minimum.at(root, (st[near], i[near]), j[near])
+    while True:
+        down = np.take_along_axis(root, root, axis=1)
+        if np.array_equal(down, root):
+            return root
+        root = down
+
+
+def _merge(weights, kets, outs, rows, groups, shares):
+    # Merge each start's coincident kets (`_merge_roots`) into their lowest
+    # one, with the sum of their weights.  The update reads a state only
+    # through its own output and the shared average, so coincident states
+    # stay coincident and keep their weight ratio: each original component
+    # of start `idx` is kept as its row `groups[idx]` in the stack and its
+    # constant share `shares[idx]` of that row's weight.  The stack shrinks
+    # to the widest start's group count; a narrower start is padded with
+    # zero-weight copies of its first ket, whose weight stays zero and
+    # whose score equals that ket's, and which no later merge reads.
+    sizes = np.array([groups[idx].max() + 1 for idx in rows])
+    root = _merge_roots(kets, sizes)
+    if root is None:
+        return weights, kets, outs
+    s, m = weights.shape
+    tops = (root == np.arange(m)) & (np.arange(m) < sizes[:, None])
+    counts = tops.sum(axis=1)
+    take = np.zeros((s, counts.max()), dtype=int)
+    new_w = np.zeros(take.shape)
+    for row, (idx, size, count) in enumerate(zip(rows, sizes, counts)):
+        w = weights[row, :size]
+        label = np.cumsum(tops[row])[root[row, :size]] - 1
+        total = np.bincount(label, w)
+        share = np.divide(w, total[label], out=np.zeros(size), where=total[label] > 0)
+        shares[idx] = shares[idx] * share[groups[idx]]
+        groups[idx] = label[groups[idx]]
+        take[row, :count] = np.flatnonzero(tops[row])
+        new_w[row, :count] = total
+    at = np.arange(s)[:, None], take
+    return new_w, kets[at], outs[at]
+
+
 def _pauli_path(ch: Channel, ent_dims: tuple[int, int] | None) -> bool:
     # Whether `_iterate` takes the Pauli-basis step; the entanglement
     # monitor reads kets, so a tracked run keeps the ket step.
@@ -223,6 +306,15 @@ def _iterate(
     every later stack takes the pure-state Schmidt form, one small
     eigvalsh per update.
 
+    Every `MERGE_EVERY` updates, the kets of each start that coincide
+    within `MERGE_TOL` (after phase alignment) are merged into one row
+    with their summed weight (`_merge`), and the stack shrinks to the
+    start with the most distinct kets.  Coincident states stay coincident
+    and keep their weight ratio, so each start records every component's
+    row and constant share of its weight, and its result is expanded back
+    to all `n` components.  A converging `gamma1^(x)4` stack falls from
+    256 rows to 16, and each distinct state is stepped once.
+
     A qubit -> qubit map without tracked entanglement takes the same
     steps in real Pauli coordinates instead (`_pauli_ascend`): a qubit
     map is affine on the Bloch ball, so every entropy, log and top
@@ -233,7 +325,8 @@ def _iterate(
     states = np.stack([p.states for p in inits])
     s, n, d, _ = states.shape
     do = ch.dim_out
-    if _pauli_path(ch, ent_dims):
+    pauli = _pauli_path(ch, ent_dims)
+    if pauli:
         op = ch._pauli_transfer  # what the step applies: this matrix, or the channel
         outs = _pauli_coords(states) @ op.T
         entropy_and_log, ascend, pure_states = _pauli_entropy_and_log, _pauli_ascend, _bloch_states
@@ -250,6 +343,8 @@ def _iterate(
     last = [None] * s  # last rounded value and how many times in a row it came
     streak = [0] * s
     results: list[CapacityResult | None] = [None] * s
+    groups = [np.arange(n)] * s  # per start: each component's row in the stack
+    shares = [np.ones(n)] * s  # ... and its share of that row's weight
     for k in range(1, cfg.max_iters + 1):
         info, phis = _holevo_terms(weights, outs, entropy_and_log)
         del outs  # each dead stack is released before the next one is built
@@ -271,8 +366,9 @@ def _iterate(
                 trace = IterationTrace(
                     np.array(values[idx]), np.array(ents[idx]) if ent_dims is not None else None
                 )
-                final = states[row].copy() if pure is None else pure_states(pure[row])
-                pi = Ensemble(weights[row].copy(), final)
+                at = groups[idx]
+                final = states[row][at] if pure is None else pure_states(pure[row][at])
+                pi = Ensemble(weights[row][at] * shares[idx], final)
                 results[idx] = CapacityResult(value, pi, converged, k, idx, trace)
             else:
                 keep.append(row)
@@ -284,6 +380,8 @@ def _iterate(
         states = None  # the initial stack, read only until the first update
         weights, pure, outs = ascend(op, weights, phis)
         del phis
+        if not pauli and k % MERGE_EVERY == 0:
+            weights, pure, outs = _merge(weights, pure, outs, rows, groups, shares)
         if ent_dims is not None:
             terms = _schmidt_terms(pure, *ent_dims)
     return results
