@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, _matrix_to_wire, load_channel, tensor, tp_residual, validate
+from .channels import Channel, load_channel, tensor, tp_residual, validate
 from .entropy import entanglement
 from .fixtures import FIXTURE_NAMES, fixture_channel
 from .solver import MAX_DECIMAL_PLACES, CapacityResult, SolverConfig, multi_start
@@ -84,15 +84,51 @@ def _result_fields(res: CapacityResult) -> dict:
         "start_index": res.start_index,
         "ensemble": {
             "weights": [float(w) for w in res.ensemble.weights],
-            "states": [_matrix_to_wire(S) for S in res.ensemble.states],
+            # Kept as the complex (n, d, d) array; `_render` writes it.
+            "states": res.ensemble.states,
         },
     }
+
+
+# Stands in for the ensemble's states while `json.dumps` lays out the rest.
+_STATES_MARK = "<states>"
+
+
+def _array_template(shape: tuple, level: int) -> str:
+    # `json.dumps(indent=2)` of a nested list of this shape whose opening
+    # bracket sits `level` indents deep, with `{}` for each number.
+    if not shape:
+        return "{}"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    item = _array_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _render(report: dict) -> str:
+    # A report's ensemble states go from their array to the bytes that
+    # `json.dumps(indent=2)` writes for their `[re, im]` lists, without the
+    # lists (about 200k objects at 4 copies of gamma1) or the pure-Python
+    # encoder that `indent` takes over them.  `format(x, "")` of a float is
+    # `repr(x)`, which is what `json` writes for a finite float.
+    if "ensemble" not in report:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    S = report["ensemble"]["states"]
+    wire = np.stack([S.real, S.imag], axis=-1)
+    if not np.isfinite(wire).all():
+        raise np.linalg.LinAlgError("non-finite entry in the ensemble states")
+    marked = {**report, "ensemble": {**report["ensemble"], "states": _STATES_MARK}}
+    head, tail = json.dumps(marked, indent=2, sort_keys=True).split(json.dumps(_STATES_MARK))
+    # "states" sits in "ensemble" in the report: two indents deep.
+    block = _array_template(wire.shape, 2).format(*wire.ravel().tolist())
+    return "".join([head, block, tail, "\n"])
 
 
 def _emit(report: dict | str, out: str | None) -> None:
     # JSON reports and CSV traces share one stdout-or-file path.
     if not isinstance(report, str):
-        report = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        report = _render(report)
     if out:
         Path(out).write_text(report)
     else:
