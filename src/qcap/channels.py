@@ -8,13 +8,20 @@ negative eigenvalue can still be applied, tensored and fed to the
 capacity solver.  Qubit channels may alternatively be specified by
 their action on the Bloch ball, `theta -> A theta + b`.
 
-The map and its dual are applied through the channel's transfer matrix
-`T = sum_k s_k V_k (x) conj(V_k)` (`d_out^2 x d_in^2`, with row-major
-`vec(G(X)) = T vec(X)`), built once per channel from the Choi operator
-and cached, so a batch of inputs costs one matrix product however many
-generators the channel has.  A qubit -> qubit map also caches the real
-4 x 4 form of `T` in the Pauli basis.  A channel's arrays are read-only,
-which keeps the cached matrices in step with the generators.
+Channels preserve Hermiticity, so a channel is held as a real matrix on
+Hermitian coordinates.  The coordinates of a Hermitian d x d matrix are
+`h(X) = Re X + Im X`, flattened row-major to d^2 reals
+(`linalg._herm_coords`).  Re X is symmetric and Im X antisymmetric, so h
+is an isometry: `<h(A), h(B)> = Tr[AB]`.  `Channel._transfer` is the
+real `d_out^2 x d_in^2` matrix `R` with `h(G(X)) = R h(X)`, and the dual
+map is its transpose, `h(G*(Y)) = R' h(Y)`.  `R` is built once per
+channel from the Choi operator and cached, so a batch of inputs costs
+one real matrix product however many generators the channel has.
+`apply`, `dual_apply` and their batched forms accept any complex matrix,
+split into Hermitian parts as `X = A + iB`.  A qubit -> qubit map also
+caches the real 4 x 4 form of the map in the Pauli basis.  A channel's
+arrays are read-only, which keeps the cached matrices in step with the
+generators.
 
 This module owns the qubit Pauli convention: `PAULI_BASIS` and its
 batched conversions `_pauli_coords`, `_pauli_operators` and
@@ -33,6 +40,8 @@ import numpy as np
 
 from .linalg import (
     PSD_ATOL,
+    _herm_coords,
+    _herm_operators,
     herm_eig,
     hermitize,
     kron,
@@ -147,16 +156,27 @@ class Channel:
 
     @cached_property
     def _transfer(self) -> np.ndarray:
-        # Realigned Choi operator: T[(a, b), (i, j)] = sum_k s_k V_k[a, i] conj(V_k[b, j]).
-        di, do = self.dim_in, self.dim_out
-        return choi(self).reshape(di, do, di, do).transpose(1, 3, 0, 2).reshape(do * do, di * di)
+        # `h(G(X)) = R h(X)`.  Column (i, j) of R is `h(G(E))` for the
+        # Hermitian E with `h(E)` the unit vector at (i, j): E holds
+        # `(1 + 1j)/2` at (i, j) and `(1 - 1j)/2` at (j, i), or 1 if i = j.
+        # So `R[(a, b), (i, j)] = Re T[a, b, i, j] + Im T[a, b, j, i]`.
+        do, di = self.dim_out, self.dim_in
+        T = _realigned_choi(self)
+        return (T.real + T.imag.swapaxes(2, 3)).reshape(do * do, di * di)
 
     @cached_property
     def _pauli_transfer(self) -> np.ndarray:
         # Qubit -> qubit maps only: `R[j, k] = Tr[s_j G(s_k)] / 2`, real for
         # any Hermiticity-preserving map, so that `G` takes the Pauli
         # coordinates x of its input to `R x`.
-        return (PAULI_BASIS.conj() @ self._transfer @ PAULI_BASIS.T).real / 2
+        return (PAULI_BASIS.conj() @ _realigned_choi(self).reshape(4, 4) @ PAULI_BASIS.T).real / 2
+
+
+def _realigned_choi(ch: Channel) -> np.ndarray:
+    # `T[a, b, i, j] = sum_k s_k V_k[a, i] conj(V_k[b, j])`, so that
+    # `G(X)[a, b] = sum_ij T[a, b, i, j] X[i, j]`.
+    di, do = ch.dim_in, ch.dim_out
+    return choi(ch).reshape(di, do, di, do).transpose(1, 3, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -190,16 +210,21 @@ def dual_apply(ch: Channel, Y: np.ndarray) -> np.ndarray:
 
 def _apply_batch(ch: Channel, states: np.ndarray) -> np.ndarray:
     # states: (n, d_in, d_in) -> (n, d_out, d_out)
-    n, d = states.shape[0], ch.dim_out
-    return (states.reshape(n, ch.dim_in**2) @ ch._transfer.T).reshape(n, d, d)
+    return _map_batch(states, ch._transfer.T)
 
 
 def _dual_apply_batch(ch: Channel, Ys: np.ndarray) -> np.ndarray:
-    # Ys: (n, d_out, d_out) -> (n, d_in, d_in); vec(G*(Y)) = vec(Y) conj(T).
-    # conj(T) is not cached: at d = 16 a second cached 1 MiB matrix raised
-    # peak RSS by 3 MB, while conjugating per call cost no measurable time.
-    n, d = Ys.shape[0], ch.dim_in
-    return (Ys.reshape(n, ch.dim_out**2) @ ch._transfer.conj()).reshape(n, d, d)
+    # Ys: (n, d_out, d_out) -> (n, d_in, d_in)
+    return _map_batch(Ys, ch._transfer)
+
+
+def _map_batch(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # The linear map `h(X) -> h(X) M` on Hermitian coordinates, applied to
+    # a complex (n, d, d) stack: `X = A + iB` with `A = (X + X^dag)/2` and
+    # `B = (X - X^dag)/2i` Hermitian, and both parts take one matmul.
+    n = X.shape[0]
+    parts = _herm_operators(_herm_coords(np.concatenate([hermitize(X), hermitize(-1j * X)])) @ M)
+    return parts[:n] + 1j * parts[n:]
 
 
 def choi(ch: Channel) -> np.ndarray:

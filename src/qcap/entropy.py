@@ -12,10 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _apply_batch, apply
-from .linalg import LOG_FLOOR, _entropy_and_log, matrix_log_psd, trace_product
+from .channels import Channel, apply
+from .linalg import (
+    LOG_FLOOR,
+    _entropy_and_log,
+    _herm_coords,
+    _herm_operators,
+    matrix_log_psd,
+    trace_product,
+)
 
-# Not called here, but bench/tracing.py wraps this binding, so it stays.
+# Not called here, but bench/tracing.py wraps these bindings, so they stay.
+from .channels import _apply_batch  # noqa: F401
 from .linalg import _log_psd_batch  # noqa: F401
 
 WEIGHT_ATOL = 1e-9
@@ -26,8 +34,9 @@ class Ensemble:
     """Finite input ensemble: weights `(n,)` over states `(n, d, d)`.
 
     Weights must be finite, nonnegative and sum to one within 1e-9;
-    states must carry unit trace.  Positivity of the states is not
-    re-checked here because the solver only ever produces outer products.
+    states must be finite and carry unit trace.  Positivity of the states
+    is not re-checked here because the solver only ever produces outer
+    products.
     """
 
     weights: np.ndarray
@@ -44,6 +53,8 @@ class Ensemble:
         traces = np.einsum("ndd->n", S)
         if S.shape[0] and not (np.abs(traces - 1.0).max() <= WEIGHT_ATOL):
             raise ValueError("states must have unit trace")
+        if not np.isfinite(S).all():
+            raise ValueError("states must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", S)
 
@@ -69,17 +80,20 @@ def _holevo_terms(
     weights: np.ndarray, outs: np.ndarray, entropy_and_log=_entropy_and_log
 ) -> tuple[np.ndarray, np.ndarray]:
     # The one place the iteration's maths lives.  For each row of an
-    # (s, n) weight stack and its (s, n, d, d) channel outputs `G(s_i)`:
-    # the mutual information `S(G(rho_bar)) - sum_i w_i S(G(s_i))` and the
-    # ascent operators `Phi_i = log G(s_i) - log G(rho_bar)`, with
-    # `G(rho_bar) = sum_i w_i G(s_i)`.  One eigh of the outputs and one of
-    # the s averages give every entropy and log, clamped at LOG_FLOOR.
-    # Qubit outputs may come as (s, n, 4) Pauli coordinates instead, with
-    # `linalg._pauli_entropy_and_log`; the averages are linear either way.
-    # Its closed form costs little beyond its numpy calls' overhead, so
-    # there the averages are appended to the outputs, (s, n + 1, 4), and
-    # one call takes both.  An eigh costs its work, not its call, so the
-    # outputs and the averages keep one each, as the solver's tests count.
+    # (s, n) weight stack and its channel outputs `G(s_i)`: the mutual
+    # information `S(G(rho_bar)) - sum_i w_i S(G(s_i))` and the ascent
+    # operators `Phi_i = log G(s_i) - log G(rho_bar)`, with
+    # `G(rho_bar) = sum_i w_i G(s_i)`.  Outputs and ascent operators are
+    # real coordinate stacks: (s, n, d*d) Hermitian coordinates
+    # (`linalg._herm_coords`) with `_entropy_and_log`, whose one eigh of
+    # the outputs and one of the s averages give every entropy and log,
+    # clamped at LOG_FLOOR; or, for qubits, (s, n, 4) Pauli coordinates
+    # with `linalg._pauli_entropy_and_log`.  The averages are linear
+    # either way.  The Pauli closed form costs little beyond its numpy
+    # calls' overhead, so there the averages are appended to the outputs,
+    # (s, n + 1, 4), and one call takes both.  An eigh costs its work, not
+    # its call, so the outputs and the averages keep one each, as the
+    # solver's tests count.
     avg = np.einsum("sn,sn...->s...", weights, outs)
     if entropy_and_log is _entropy_and_log:
         ents, phis = entropy_and_log(outs)
@@ -108,14 +122,19 @@ def mutual_info(pi: Ensemble, ch: Channel) -> float:
     does not change the value.
     """
     mask = pi.weights > 0
-    info, _ = _holevo_terms(pi.weights[mask][None], _apply_batch(ch, pi.states[mask])[None])
+    info, _ = _holevo_terms(pi.weights[mask][None], _output_coords(ch, pi.states[mask])[None])
     return float(info[0])
+
+
+def _output_coords(ch: Channel, states: np.ndarray) -> np.ndarray:
+    # Hermitian coordinates of the outputs of an (n, d, d) stack of states.
+    return _herm_coords(states) @ ch._transfer.T
 
 
 def phi_operator(sigma_p: np.ndarray, rho_p: np.ndarray, ch: Channel) -> np.ndarray:
     """`Phi = log G(sigma') - log G(rho')`, the solver's ascent direction seed."""
-    _, logs = _entropy_and_log(np.stack([apply(ch, sigma_p), apply(ch, rho_p)]))
-    return logs[0] - logs[1]
+    _, logs = _entropy_and_log(_herm_coords(np.stack([apply(ch, sigma_p), apply(ch, rho_p)])))
+    return _herm_operators(logs[0] - logs[1])
 
 
 def j_functional(pi: Ensemble, pi_p: Ensemble, ch: Channel) -> float:
@@ -134,9 +153,9 @@ def j_functional(pi: Ensemble, pi_p: Ensemble, ch: Channel) -> float:
     mask = w > 0
     with np.errstate(divide="ignore"):
         classical = float(w[mask] @ (np.log(w[mask]) - np.log(wp[mask])))
-    outs = _apply_batch(ch, pi.states[mask])
-    _, phis = _holevo_terms(wp[None], _apply_batch(ch, pi_p.states)[None])
-    quantum = float(w[mask] @ np.einsum("nab,nba->n", outs, phis[0, mask]).real)
+    outs = _output_coords(ch, pi.states[mask])
+    _, phis = _holevo_terms(wp[None], _output_coords(ch, pi_p.states)[None])
+    quantum = float(w[mask] @ np.einsum("nj,nj->n", outs, phis[0, mask]))
     return -classical + quantum
 
 

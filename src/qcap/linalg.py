@@ -1,12 +1,15 @@
 """Hermitian linear algebra helpers shared by the channel and solver code.
 
-Everything here works on plain complex numpy arrays.  Matrices are
-row-major, states live on tensor factors ordered left to right, and the
-matrix logarithm is the natural one (entropies downstream are in nats).
+Everything here works on plain numpy arrays: complex matrices, or the
+real Hermitian coordinates `h(X) = Re X + Im X` in which the solver's
+step on kets runs (`_herm_coords`).  Matrices are row-major, states live
+on tensor factors ordered left to right, and the matrix logarithm is the
+natural one (entropies downstream are in nats).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +68,8 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     """
     M = np.asarray(M)
     # `M†` is copied out contiguous, and `M` is added and the sum halved in
-    # place: the iteration hermitizes several stacks per step, and a sum
-    # that read `M†` as a strided view would cost half as much again.
+    # place: a sum that read `M†` as a strided view would cost half as much
+    # again.
     H = np.conjugate(M.swapaxes(-1, -2), order="C", dtype=np.result_type(M.dtype, 0.5))
     H += M
     H /= 2
@@ -186,22 +189,58 @@ def trace_product(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", A, B))
 
 
-def _entropy_and_log(P: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
-    # One eigh of a (..., d, d) stack gives both the von Neumann entropies
-    # `-sum_j w_j log w_j` and the Hermitian logs, eigenvalues clamped at
-    # `floor` inside the log.  The phase convention is skipped (both are
-    # basis-independent).  Eigenvalues below `floor` are clamped without
-    # complaint: callers feed channel outputs, which can dip marginally
-    # below zero along the iteration when a signed map acts on entangled
-    # states, and the ascent only needs the clamped log there.
-    w, V = np.linalg.eigh(P)
+def _herm_coords(X: np.ndarray) -> np.ndarray:
+    # Hermitian coordinates `h(X) = Re X + Im X` of a (..., d, d) stack,
+    # flattened row-major to (..., d*d) reals.  For Hermitian X, Re X is
+    # symmetric and Im X antisymmetric, so h is an isometry onto R^(d*d):
+    # `<h(A), h(B)> = Tr[AB]`.  A Hermiticity-preserving map is then a real
+    # matrix on coordinates (`channels.Channel._transfer`).
+    return (X.real + X.imag).reshape(*X.shape[:-2], -1)
+
+
+def _herm_operators(y: np.ndarray) -> np.ndarray:
+    # The inverse of `_herm_coords`: the (..., d, d) matrices
+    # `(Y + Y')/2 + i (Y - Y')/2` of a (..., d*d) real stack, Hermitian
+    # to the last bit (each entry pair is formed from the same two numbers).
+    d = math.isqrt(y.shape[-1])
+    Y = y.reshape(*y.shape[:-1], d, d)
+    Yt = Y.swapaxes(-1, -2)
+    H = np.empty(Y.shape, dtype=complex)
+    np.add(Y, Yt, out=H.real)
+    np.subtract(Y, Yt, out=H.imag)
+    halves = H.view(float)
+    halves *= 0.5
+    return H
+
+
+def _pure_coords(kets: np.ndarray) -> np.ndarray:
+    # `_herm_coords` of the pure states `|psi><psi|` of an (n, d) ket stack,
+    # from real arithmetic alone: for `psi = a + ib`,
+    # `h(psi psi^dag) = (a + b) a' + (b - a) b'`.
+    a, b = kets.real, kets.imag
+    P = (a + b)[:, :, None] * a[:, None, :]
+    P += (b - a)[:, :, None] * b[:, None, :]
+    return P.reshape(kets.shape[0], -1)
+
+
+def _entropy_and_log(y: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    # One eigh of a (..., d*d) stack of Hermitian coordinates gives both the
+    # von Neumann entropies `-sum_j w_j log w_j` and the coordinates of the
+    # logs, eigenvalues clamped at `floor` inside the log.  The phase
+    # convention is skipped (both are basis-independent).  Eigenvalues
+    # below `floor` are clamped without complaint: callers feed channel
+    # outputs, which can dip marginally below zero along the iteration when
+    # a signed map acts on entangled states, and the ascent only needs the
+    # clamped log there.  The log's rounding-level anti-Hermitian part is
+    # not projected out; `_herm_coords` leaves it at that level.
+    w, V = np.linalg.eigh(_herm_operators(y))
     logs = np.log(np.maximum(w, floor))
-    return -(w * logs).sum(axis=-1), hermitize((V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2))
+    return -(w * logs).sum(axis=-1), _herm_coords((V * logs[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def _log_psd_batch(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
     # Batched clamped Hermitian log of a (n, d, d) stack.
-    return _entropy_and_log(P, floor)[1]
+    return _herm_operators(_entropy_and_log(_herm_coords(P), floor)[1])
 
 
 def _pauli_entropy_and_log(y: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarray, np.ndarray]:

@@ -29,11 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _apply_batch, _bloch_states, _dual_apply_batch, _pauli_coords
+from .channels import Channel, _bloch_states, _pauli_coords
 from .entropy import Ensemble, _entanglement_terms, _holevo_terms, _schmidt_terms
-from .linalg import _entropy_and_log, _pauli_entropy_and_log, _top_kets, hermitize
+from .linalg import (
+    _entropy_and_log,
+    _herm_coords,
+    _herm_operators,
+    _pauli_entropy_and_log,
+    _pure_coords,
+    _top_kets,
+)
 
 # Not called here, but bench/tracing.py wraps these bindings, so they stay.
+from .channels import _apply_batch  # noqa: F401
 from .entropy import entanglement, mutual_info  # noqa: F401
 from .linalg import _log_psd_batch  # noqa: F401
 
@@ -173,22 +181,23 @@ def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble
     return random_start(dim, n_states, np.random.default_rng([seed, index]))
 
 
-def _ascend(ch: Channel, weights: np.ndarray, phis: np.ndarray):
+def _ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
     # The alternating update of every row of an (s, n) weight stack, given
-    # its (s, n, d_out, d_out) ascent operators: each state becomes the top
-    # eigenvector of `G*(Phi_i)`, each weight is rescaled by
-    # `exp(Tr[G(s_new_i) Phi_i])`.  Only the top eigenpair is read, so the
-    # dual images take one eigvalsh and inverse iteration (`_top_kets`),
-    # not a full eigh.  Returns the new weights, the (s, n, d) kets of the
-    # new states and their outputs, which the next iteration's Holevo
+    # the Hermitian coordinates (s, n, d_out^2) of its ascent operators and
+    # the channel's real transfer matrix R: each state becomes the top
+    # eigenvector of `G*(Phi_i)`, whose coordinates are `phi R`, and each
+    # weight is rescaled by `exp(Tr[G(s_new_i) Phi_i])`, a dot product of
+    # coordinates.  Only the top eigenpair is read, so the dual images take
+    # one eigvalsh and inverse iteration (`_top_kets`), not a full eigh.
+    # Returns the new weights, the (s, n, d) kets of the new states and
+    # the coordinates of their outputs, which the next iteration's Holevo
     # terms take as given.
-    s, n = weights.shape
-    d, do = ch.dim_in, ch.dim_out
-    phis = phis.reshape(s * n, do, do)
-    psi = _top_kets(hermitize(_dual_apply_batch(ch, phis)))
-    outs = _apply_batch(ch, _projectors(psi))
-    scores = np.einsum("nab,nba->n", outs, phis).real.reshape(s, n)
-    return _reweight(weights, scores), psi.reshape(s, n, d), outs.reshape(s, n, do, do)
+    s, n, _ = phis.shape
+    phis = phis.reshape(s * n, -1)
+    psi = _top_kets(_herm_operators(phis @ R))
+    outs = _pure_coords(psi) @ R.T
+    scores = np.einsum("nj,nj->n", outs, phis).reshape(s, n)
+    return _reweight(weights, scores), psi.reshape(s, n, -1), outs.reshape(s, n, -1)
 
 
 def _reweight(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -300,11 +309,14 @@ def _iterate(
     leaves the stack with its result; the others go on.  Starts never
     mix, so each result is the one the start would reach alone.
 
-    After the first update the stack is held as kets, and a state matrix
-    is built only for a returned result.  The tracked entanglement of the
-    initial states, which may be mixed, takes the general form; that of
-    every later stack takes the pure-state Schmidt form, one small
-    eigvalsh per update.
+    Outputs, logs, ascent operators and dual images are held as real
+    Hermitian coordinates (`linalg._herm_coords`) and mapped by the
+    channel's real transfer matrix, so the step makes no complex matrix
+    product outside its eigensolvers.  After the first update the stack
+    is held as kets, and a state matrix is built only for a returned
+    result.  The tracked entanglement of the initial states, which may be
+    mixed, takes the general form; that of every later stack takes the
+    pure-state Schmidt form, one small eigvalsh per update.
 
     Every `MERGE_EVERY` updates, the kets of each start that coincide
     within `MERGE_TOL` (after phase alignment) are merged into one row
@@ -323,17 +335,15 @@ def _iterate(
     """
     weights = np.stack([p.weights for p in inits])
     states = np.stack([p.states for p in inits])
-    s, n, d, _ = states.shape
-    do = ch.dim_out
+    s, n = weights.shape
     pauli = _pauli_path(ch, ent_dims)
     if pauli:
-        op = ch._pauli_transfer  # what the step applies: this matrix, or the channel
-        outs = _pauli_coords(states) @ op.T
+        op, coords = ch._pauli_transfer, _pauli_coords
         entropy_and_log, ascend, pure_states = _pauli_entropy_and_log, _pauli_ascend, _bloch_states
     else:
-        op = ch
-        outs = _apply_batch(ch, states.reshape(s * n, d, d)).reshape(s, n, do, do)
+        op, coords = ch._transfer, _herm_coords
         entropy_and_log, ascend, pure_states = _entropy_and_log, _ascend, _projectors
+    outs = coords(states) @ op.T  # what the step applies: the real transfer matrix
     if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
     pure = None  # the updated stack's kets or Bloch vectors; until then `states`

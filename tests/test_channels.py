@@ -25,7 +25,8 @@ from qcap import (
     tp_residual,
     validate,
 )
-from qcap.channels import _apply_batch, _dual_apply_batch, _pauli_operators
+from qcap.channels import PAULI_BASIS, _apply_batch, _dual_apply_batch, _pauli_operators
+from qcap.linalg import _herm_coords, _herm_operators, _pure_coords
 from support import PAULI_X, PAULI_Y, PAULI_Z, random_density, random_hermitian
 
 
@@ -132,6 +133,11 @@ def random_matrices(rng, n, dim):
     return rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
 
 
+def random_hermitians(rng, n, dim):
+    M = random_matrices(rng, n, dim)
+    return (M + M.conj().swapaxes(1, 2)) / 2
+
+
 @pytest.mark.parametrize("which", ["2to3", "gamma3xgamma5", "gamma1^3"])
 class TestKernelsAgainstGeneratorSum:
     def test_apply(self, which, rng):
@@ -147,6 +153,57 @@ class TestKernelsAgainstGeneratorSum:
         want = np.array([explicit_dual(ch, Y) for Y in Ys])
         assert_allclose(dual_apply(ch, Ys[0]), want[0], atol=1e-12)
         assert_allclose(_dual_apply_batch(ch, Ys), want, atol=1e-12)
+
+    def test_coordinates_round_trip(self, which, rng):
+        ch = kernel_channel(which, rng)
+        for d in (ch.dim_in, ch.dim_out):
+            Xs = random_hermitians(rng, 4, d)
+            assert_allclose(_herm_operators(_herm_coords(Xs)), Xs, rtol=0, atol=1e-15)
+            H = _herm_operators(rng.standard_normal((4, d * d)))
+            assert np.array_equal(H, H.conj().swapaxes(1, 2))
+
+    def test_coordinates_are_an_isometry(self, which, rng):
+        ch = kernel_channel(which, rng)
+        for d in (ch.dim_in, ch.dim_out):
+            A, B = random_hermitians(rng, 2, d)
+            assert _herm_coords(A) @ _herm_coords(B) == pytest.approx(np.trace(A @ B).real, abs=1e-12)
+
+    def test_transfer_and_its_transpose(self, which, rng):
+        # `<R h(X), h(Y)> = <h(X), R' h(Y)> = Tr[G(X) Y]`, and R is the only
+        # matrix the channel caches, in real numbers.
+        ch = kernel_channel(which, rng)
+        R = ch._transfer
+        assert R.dtype == float
+        assert R.shape == (ch.dim_out**2, ch.dim_in**2)
+        for _ in range(4):
+            X = random_hermitians(rng, 1, ch.dim_in)[0]
+            Y = random_hermitians(rng, 1, ch.dim_out)[0]
+            want = np.trace(explicit_apply(ch, X) @ Y).real
+            x, y = _herm_coords(X), _herm_coords(Y)
+            assert (R @ x) @ y == pytest.approx(want, abs=1e-12)
+            assert x @ (R.T @ y) == pytest.approx(want, abs=1e-12)
+            assert_allclose(R @ x, _herm_coords(explicit_apply(ch, X)), rtol=0, atol=1e-12)
+        dual_apply(ch, np.eye(ch.dim_out))
+        cached = {k: v for k, v in vars(ch).items() if k not in ("kraus", "signs")}
+        assert all(v.dtype == float for v in cached.values() if isinstance(v, np.ndarray))
+
+    def test_pure_state_coordinates(self, which, rng):
+        ch = kernel_channel(which, rng)
+        kets = rng.standard_normal((5, ch.dim_in)) + 1j * rng.standard_normal((5, ch.dim_in))
+        want = _herm_coords(np.einsum("na,nb->nab", kets, kets.conj()))
+        assert_allclose(_pure_coords(kets), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma3", "gamma4"])
+def test_pauli_transfer_keeps_its_complex_formula(name):
+    # The Pauli step reads `_pauli_transfer`, so it must stay bit-identical
+    # to the form taken from the complex realigned Choi operator
+    # `T[(a, b), (i, j)] = sum_k s_k V_k[a, i] conj(V_k[b, j])`, whatever
+    # form the channel's own transfer matrix takes.
+    ch = qcap.fixture_channel(name)
+    T = choi(ch).reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+    want = (PAULI_BASIS.conj() @ T @ PAULI_BASIS.T).real / 2
+    assert np.array_equal(ch._pauli_transfer, want)
 
 
 class TestAffineToChannel:

@@ -63,6 +63,13 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="unit trace"):
             Ensemble(np.array([0.5, 0.5]), S)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan), complex(0, -np.inf)])
+    def test_rejects_non_finite_states(self, entry):
+        # An off-diagonal entry leaves the unit trace intact, so only the
+        # finiteness check can refuse it.
+        with pytest.raises(ValueError, match="states must be finite"):
+            Ensemble(np.ones(1), [[[1, entry], [np.conj(entry), 0]]])
+
 
 class TestRelEntropy:
     def test_self_is_zero(self, rng):

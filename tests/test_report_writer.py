@@ -104,11 +104,14 @@ def test_four_copy_report(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan), complex(0, -np.inf)])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_non_finite_state_exits_3(entry, to_file, tmp_path, monkeypatch, capsys):
-    # An off-diagonal entry keeps the unit trace the ensemble checks, so
-    # only the report's finiteness check can stop it.
+    # `Ensemble` refuses a non-finite state, so the entry is written into
+    # a valid ensemble after its checks: the report's own finiteness check
+    # must still stop it.
+    ensemble = Ensemble(np.ones(1), np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
     states = np.array([[[1.0, entry], [np.conj(entry), 0.0]]], dtype=complex)
+    object.__setattr__(ensemble, "states", states)
     result = CapacityResult(
-        capacity=0.5, ensemble=Ensemble(np.ones(1), states), converged=True,
+        capacity=0.5, ensemble=ensemble, converged=True,
         iterations_used=1, start_index=0, trace=IterationTrace(np.array([0.5])),
     )
     monkeypatch.setattr(cli, "multi_start", lambda *args, **kwargs: result)
