@@ -22,10 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, load_channel, tensor, tp_residual, validate
+from .channels import Channel, load_channel, tensor, validate
 from .entropy import entanglement
 from .fixtures import FIXTURE_NAMES, fixture_channel
 from .solver import MAX_DECIMAL_PLACES, CapacityResult, SolverConfig, multi_start
+
+# Not called here, but bench/tracing.py wraps this binding, so it stays.
+from .channels import tp_residual  # noqa: F401
 
 MAX_PRODUCT_DIM = 16
 
@@ -37,7 +40,8 @@ class InputError(ValueError):
 def _channel(arg: str, usable: bool = True) -> Channel:
     # Accept a descriptor path or a built-in name like "gamma2".  A usable
     # channel must be trace preserving; a non-PSD Choi operator only draws
-    # a warning so that signed maps stay usable end to end.
+    # a warning so that signed maps stay usable end to end.  A path that
+    # cannot be read (a directory, no permission) is bad input too.
     if arg in FIXTURE_NAMES and not Path(arg).exists():
         ch = fixture_channel(arg)
     elif not Path(arg).exists():
@@ -45,14 +49,13 @@ def _channel(arg: str, usable: bool = True) -> Channel:
     else:
         try:
             ch = load_channel(arg, allow_non_cp=True)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise InputError(str(exc)) from None
     if not usable:
         return ch
-    resid = tp_residual(ch)
-    if resid > 1e-9:
-        raise InputError(f"{arg}: not trace preserving (residual {resid:.3e})")
     report = validate(ch)
+    if not report.tp_ok:
+        raise InputError(f"{arg}: not trace preserving (residual {report.tp_residual:.3e})")
     if not report.cp_ok:
         print(
             f"warning: {arg}: not completely positive "
@@ -125,12 +128,21 @@ def _render(report: dict) -> str:
     return "".join([head, block, tail, "\n"])
 
 
+def _write(path: str, text: str) -> None:
+    # An `--out` or `--trace` path that cannot be written (a directory, a
+    # missing parent, no permission) is bad input, not a crash.
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _emit(report: dict | str, out: str | None) -> None:
     # JSON reports and CSV traces share one stdout-or-file path.
     if not isinstance(report, str):
         report = _render(report)
     if out:
-        Path(out).write_text(report)
+        _write(out, report)
     else:
         sys.stdout.write(report)
 
@@ -157,7 +169,7 @@ def cmd_capacity(args) -> int:
     ch = _channel(args.channel)
     res = multi_start(ch, _config(args))
     if args.trace:
-        Path(args.trace).write_text(_trace_rows(res))
+        _write(args.trace, _trace_rows(res))
     _emit(_result_fields(res), args.out)
     return _strict_exit(args, res)
 
@@ -187,7 +199,7 @@ def cmd_additivity(args) -> int:
         }
     )
     if args.trace:
-        Path(args.trace).write_text(_trace_rows(rp))
+        _write(args.trace, _trace_rows(rp))
     _emit(report, args.out)
     return _strict_exit(args, r1, r2, rp)
 

@@ -92,12 +92,11 @@ def herm_eig(H: np.ndarray) -> EigenDecomposition:
     order = np.argsort(w)[::-1]
     w = w[order]
     V = V[:, order]
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            pivot = col[idx[0]]
-            col *= np.abs(pivot) / pivot
+    if V.size:
+        # Each column's pivot is its first entry above 1e-12; a unit column
+        # always has one, so no pivot is 0.
+        pivot = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(V.shape[1])]
+        V *= np.abs(pivot) / pivot
     return EigenDecomposition(w, V)
 
 

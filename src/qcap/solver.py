@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _bloch_states, _pauli_coords
+from .channels import Channel, _pauli_coords, _pauli_operators
 from .entropy import Ensemble, _entanglement_terms, _holevo_terms, _schmidt_terms
 from .linalg import (
     _entropy_and_log,
@@ -72,6 +72,8 @@ MERGE_EVERY = 5
 # 5e-25 at MERGE_TOL, so this margin need only exceed the overlap's
 # rounding; it admits pairs up to about 1.4e-6 apart.
 _MERGE_OVERLAP = 1 - 1e-12
+# Pauli coordinates of |1>, the Pauli step's state for a zero `g_vec`.
+_LOWER_POLE = np.array([1.0, 0.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,30 @@ def default_starts(dim: int) -> int:
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
-    # The pure states `|psi><psi|` of an (n, d) ket stack.
-    return np.einsum("na,nb->nab", kets, kets.conj())
+    # The pure states `|psi><psi|` of a (..., n, d) ket stack.
+    return np.einsum("...na,...nb->...nab", kets, kets.conj())
+
+
+def _draw_kets(rng: np.random.Generator, n_states: int, dim: int) -> np.ndarray:
+    # `n_states` isotropic complex Gaussian kets, not yet normalized.
+    return rng.standard_normal((n_states, dim)) + 1j * rng.standard_normal((n_states, dim))
+
+
+# `canonical_qubit_start`'s states, shared read-only.
+_S3 = np.sqrt(3.0)
+_CANONICAL_QUBIT_STATES = np.array(
+    [
+        [[0.5, 0.5], [0.5, 0.5]],
+        [[0.5, 0.5j], [-0.5j, 0.5]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [
+            [(_S3 - 1) / (2 * _S3), (-1 - 1j) / (2 * _S3)],
+            [(-1 + 1j) / (2 * _S3), (_S3 + 1) / (2 * _S3)],
+        ],
+    ],
+    dtype=complex,
+)
+_CANONICAL_QUBIT_STATES.flags.writeable = False
 
 
 def random_start(dim: int, n_states: int, rng: np.random.Generator) -> Ensemble:
@@ -146,7 +170,7 @@ def random_start(dim: int, n_states: int, rng: np.random.Generator) -> Ensemble:
     Vectors are isotropic complex Gaussians, normalized, so on composite
     spaces the states are generically entangled across any factor split.
     """
-    psi = rng.standard_normal((n_states, dim)) + 1j * rng.standard_normal((n_states, dim))
+    psi = _draw_kets(rng, n_states, dim)
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     return Ensemble(np.full(n_states, 1.0 / n_states), _projectors(psi))
 
@@ -156,29 +180,35 @@ def canonical_qubit_start() -> Ensemble:
 
     Uniform weights over four pure states spread over the Bloch sphere:
     the +x and -y axis states, the north pole, and a fourth state tilted
-    off every axis.
+    off every axis.  Its states are a read-only array.
     """
-    s3 = np.sqrt(3.0)
-    states = np.array(
-        [
-            [[0.5, 0.5], [0.5, 0.5]],
-            [[0.5, 0.5j], [-0.5j, 0.5]],
-            [[1.0, 0.0], [0.0, 0.0]],
-            [
-                [(s3 - 1) / (2 * s3), (-1 - 1j) / (2 * s3)],
-                [(-1 + 1j) / (2 * s3), (s3 + 1) / (2 * s3)],
-            ],
-        ],
-        dtype=complex,
-    )
-    return Ensemble(np.full(4, 0.25), states)
+    return Ensemble(np.full(4, 0.25), _CANONICAL_QUBIT_STATES)
+
+
+def _starts(dim: int, n_states: int, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    # The (s, n) weights and (s, n, d, d) states of the starts `indices`,
+    # unvalidated: start 0 of a four-state qubit ensemble is the canonical
+    # one, every other start `i` takes its kets from `default_rng([seed, i])`,
+    # exactly as `random_start` draws them.  The kets take one
+    # normalization and one projector product for the whole stack.
+    canonical = []
+    psi = np.ones((len(indices), n_states, dim), dtype=complex)
+    for row, index in enumerate(indices):
+        if index == 0 and dim == 2 and n_states == 4:
+            canonical.append(row)
+        else:
+            psi[row] = _draw_kets(np.random.default_rng([seed, index]), n_states, dim)
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    states = _projectors(psi)
+    for row in canonical:
+        states[row] = _CANONICAL_QUBIT_STATES
+    return np.full((len(indices), n_states), 1.0 / n_states), states
 
 
 def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble:
     """Start ensemble for restart `index`: deterministic at 0, seeded random after."""
-    if index == 0 and dim == 2 and n_states == 4:
-        return canonical_qubit_start()
-    return random_start(dim, n_states, np.random.default_rng([seed, index]))
+    weights, states = _starts(dim, n_states, seed, [index])
+    return Ensemble(weights[0], states[0])
 
 
 def _ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
@@ -279,26 +309,35 @@ def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
     # (s, n, 4) Pauli coordinates of the ascent operators.  The dual image
     # `G*(Phi_i)` has coordinates `g = phi R`; its top eigenvector is the
     # pure state with Bloch vector `g_vec / |g_vec|` and eigenvalue
-    # `(g_0 + |g_vec|)/2`, the score.  A zero `g_vec` (every state is then
-    # optimal) takes `(0, 0, -1)`, the |1> that eigh returns for a multiple
-    # of the identity.  Returns the new weights, the (s, n, 3) Bloch
-    # vectors of the new states and the Pauli coordinates of their outputs.
+    # `(g_0 + |g_vec|)/2`, the score.  That state's Pauli coordinates
+    # `(1, g_vec / |g_vec|)` are `g` with `g_0` overwritten by `|g_vec|`,
+    # divided once.  A zero `g_vec` (every state is then optimal) takes
+    # `(1, 0, 0, -1)`, the |1> that eigh returns for a multiple of the
+    # identity.  Returns the new weights, the (s, n, 4) Pauli coordinates
+    # of the new states and those of their outputs.
     g = phis @ R
-    gv = g[..., 1:]
-    norm = np.sqrt(np.einsum("snj,snj->sn", gv, gv))
-    theta = np.divide(gv, norm[..., None], out=np.zeros_like(gv), where=norm[..., None] > 0)
-    theta[norm == 0, 2] = -1.0
+    norm = np.sqrt(np.einsum("snj,snj->sn", g[..., 1:], g[..., 1:]))
     new_w = _reweight(weights, (g[..., 0] + norm) / 2)
-    return new_w, theta, R[:, 0] + theta @ R[:, 1:].T
+    g[..., 0] = norm
+    zero = norm == 0
+    if zero.any():
+        g[zero] = _LOWER_POLE
+        norm[zero] = 1.0
+    g /= norm[..., None]
+    return new_w, g, g @ R.T
 
 
 def _iterate(
     ch: Channel,
-    inits: list[Ensemble],
+    weights: np.ndarray,
+    states: np.ndarray,
     cfg: SolverConfig,
     ent_dims: tuple[int, int] | None = None,
 ) -> list[CapacityResult]:
-    """Iterate every start in `inits` as one stack; one result per start.
+    """Iterate the starts `(weights[i], states[i])` as one stack; one result each.
+
+    `weights` is an (s, n) stack and `states` an (s, n, d, d) one, taken
+    as valid ensembles (`run` and `multi_start` build them so).
 
     Each iteration takes the mutual information and ascent operators of
     all starts from one eigh of their outputs and one of their averages.
@@ -330,23 +369,24 @@ def _iterate(
     A qubit -> qubit map without tracked entanglement takes the same
     steps in real Pauli coordinates instead (`_pauli_ascend`): a qubit
     map is affine on the Bloch ball, so every entropy, log and top
-    eigenvector has a closed form, and the stack is held as Bloch
-    vectors.  Only the step differs; the stop rule and the results do not.
+    eigenvector has a closed form, and the stack is held as the Pauli
+    coordinates of its pure states.  Only the step differs; the stop rule
+    and the results do not.
     """
-    weights = np.stack([p.weights for p in inits])
-    states = np.stack([p.states for p in inits])
     s, n = weights.shape
     pauli = _pauli_path(ch, ent_dims)
     if pauli:
         op, coords = ch._pauli_transfer, _pauli_coords
-        entropy_and_log, ascend, pure_states = _pauli_entropy_and_log, _pauli_ascend, _bloch_states
+        entropy_and_log, ascend = _pauli_entropy_and_log, _pauli_ascend
+        pure_states = _pauli_operators
     else:
         op, coords = ch._transfer, _herm_coords
-        entropy_and_log, ascend, pure_states = _entropy_and_log, _ascend, _projectors
+        entropy_and_log, ascend = _entropy_and_log, _ascend
+        pure_states = _projectors
     outs = coords(states) @ op.T  # what the step applies: the real transfer matrix
     if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
-    pure = None  # the updated stack's kets or Bloch vectors; until then `states`
+    pure = None  # the updated stack's kets or Pauli coordinates; until then `states`
     rows = list(range(s))  # start index of each row still in the stack
     values: list[list[float]] = [[] for _ in rows]
     ents: list[list[float]] = [[] for _ in rows]
@@ -361,13 +401,16 @@ def _iterate(
         if ent_dims is not None:
             ent = np.einsum("sn,sn->s", weights, terms)
         keep = []
+        info = info.tolist()
+        if ent_dims is not None:
+            ent = ent.tolist()
         for row, idx in enumerate(rows):
-            value = float(info[row])
+            value = info[row]
             if not math.isfinite(value):
                 raise np.linalg.LinAlgError(f"mutual information is {value} at iteration {k}")
             values[idx].append(value)
             if ent_dims is not None:
-                ents[idx].append(float(ent[row]))
+                ents[idx].append(ent[row])
             rounded = round(value, cfg.decimal_places)
             streak[idx] = streak[idx] + 1 if rounded == last[idx] else 1
             last[idx] = rounded
@@ -417,7 +460,7 @@ def run(
     if init.dim != ch.dim_in:
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
     cfg = dataclasses.replace(config, n_states=init.n_states).resolved(ch)
-    return _iterate(ch, [init], cfg, ent_dims)[0]
+    return _iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)[0]
 
 
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
@@ -451,9 +494,9 @@ def multi_start(
     iterate together, and each gives the result `run` gives from it.
     """
     cfg = config.resolved(ch)
-    inits = [initial_ensemble(ch.dim_in, cfg.n_states, cfg.seed, i) for i in range(cfg.starts)]
+    weights, states = _starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
     best: CapacityResult | None = None
-    for res in _iterate(ch, inits, cfg, ent_dims):
+    for res in _iterate(ch, weights, states, cfg, ent_dims):
         if best is None or res.capacity > best.capacity + START_TIE_NATS:
             best = res
     return best

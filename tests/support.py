@@ -39,6 +39,17 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * (G + G.conj().T) / 2
 
 
+def random_qubit_kraus(rng, n_kraus):
+    """Kraus stack `(n_kraus, 2, 2)` cut from a random Stinespring isometry.
+
+    The isometry is the Q factor of a complex Gaussian `(2 n_kraus, 2)`
+    matrix, so the channel is trace preserving to rounding.
+    """
+    G = rng.standard_normal((2 * n_kraus, 2)) + 1j * rng.standard_normal((2 * n_kraus, 2))
+    Q, _ = np.linalg.qr(G)
+    return Q.reshape(n_kraus, 2, 2)
+
+
 def random_pure_ensemble(rng, dim, n):
     """Uniform ensemble over n random pure states (plain numpy construction)."""
     psi = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))

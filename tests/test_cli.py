@@ -378,6 +378,47 @@ def test_non_finite_channel_data_exits_2(tmp_path, kind):
     assert "finite" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["channel-directory", "out-directory", "out-unwritable", "trace-directory",
+     "trace-unwritable"],
+)
+def test_unusable_paths_exit_2(tmp_path, capsys, case):
+    # A channel path that cannot be read and an --out or --trace path that
+    # cannot be written are bad input: exit 2, an `error:` line and no
+    # report on stdout.
+    from qcap import cli
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = {"directory": str(tmp_path), "unwritable": str(blocker / "report")}
+    flag, kind = case.split("-")
+    argv = ["capacity", "--channel", "gamma1"]
+    if flag == "channel":
+        argv[2] = bad[kind]
+    else:
+        argv += [f"--{flag}", bad[kind]]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert bad[kind] in err
+
+
+def test_non_trace_preserving_refused_before_cp_warning(monkeypatch, capsys):
+    # A map that is neither trace preserving nor CP draws the TP error
+    # alone: the CP warning would follow only for a usable channel.
+    from qcap import Channel, cli, fixture_channel
+
+    gamma3 = fixture_channel("gamma3")
+    signed = Channel(0.9 * gamma3.kraus, gamma3.signs, name="scaled")
+    monkeypatch.setattr(cli, "fixture_channel", lambda name: signed)
+    assert cli.main(["capacity", "--channel", "gamma3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: gamma3: not trace preserving (residual 1.900e-01)\n"
+
+
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     from qcap import cli
 

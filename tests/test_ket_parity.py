@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcap
-from qcap import Channel, Ensemble, SolverConfig, initial_ensemble, tensor
+from qcap import Channel, Ensemble, SolverConfig, tensor
 
 # Where a dual image's top has a gap, both kets lie within rounding of
 # the exact one (`eps * radius / gap` each; inverse iteration adds at most
@@ -55,8 +55,8 @@ def solve_both(ch, cfg, monkeypatch):
     # Every start `multi_start` would make.
     assert not qcap.solver._pauli_path(ch, None)
     cfg = cfg.resolved(ch)
-    inits = [initial_ensemble(ch.dim_in, cfg.n_states, cfg.seed, i) for i in range(cfg.starts)]
-    assert_same(*on_both(lambda: qcap.solver._iterate(ch, inits, cfg), monkeypatch))
+    starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
+    assert_same(*on_both(lambda: qcap.solver._iterate(ch, *starts, cfg), monkeypatch))
 
 
 def product(a, b):

@@ -58,6 +58,49 @@ class TestHermEig:
             herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def loop_herm_eig(H):
+    # `herm_eig` as first written, kept as the reference: each column is
+    # rephased in a Python loop so that its first entry above 1e-12 is real
+    # and positive.
+    w, V = np.linalg.eigh(H)
+    order = np.argsort(w)[::-1]
+    w, V = w[order], V[:, order]
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        if idx.size:
+            pivot = col[idx[0]]
+            col *= np.abs(pivot) / pivot
+    return w, V
+
+
+def block_hermitian(rng, d, k):
+    # A Hermitian matrix whose first k basis vectors are split off up to
+    # a coupling of 1e-13, so that many eigenvectors have leading entries
+    # below 1e-12 and take a later entry as their pivot.
+    H = np.zeros((d, d), dtype=complex)
+    H[:k, :k] = np.diag(rng.standard_normal(k))
+    H[k:, k:] = random_hermitian(rng, d - k)
+    H[k:, :k] = 1e-13 * (rng.standard_normal((d - k, k)) + 1j * rng.standard_normal((d - k, k)))
+    H[:k, k:] = H[k:, :k].conj().T
+    return H
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9, 16])
+def test_herm_eig_is_bit_identical_to_the_loop(rng, d):
+    cases = [random_hermitian(rng, d) for _ in range(20)]
+    cases += [block_hermitian(rng, d, k) for k in range(d) for _ in range(3)]
+    cases += [np.eye(d), np.diag(np.arange(d, dtype=float))]
+    led_by_small = 0
+    for H in cases:
+        w, V = herm_eig(H)
+        ref_w, ref_V = loop_herm_eig(H)
+        assert w.tobytes() == ref_w.tobytes()
+        assert V.tobytes() == ref_V.tobytes()
+        led_by_small += int((np.abs(ref_V[0]) <= 1e-12).sum())
+    assert led_by_small > 0 or d == 1
+
+
 class TestMatrixLogPsd:
     def test_half_identity(self):
         assert_allclose(matrix_log_psd(np.diag([0.5, 0.5])), -np.log(2) * np.eye(2), atol=1e-12)

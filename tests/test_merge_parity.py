@@ -73,9 +73,9 @@ def solve_both(ch, cfg, monkeypatch, ent_dims=None):
     # Every start `multi_start` would make; the shipped run must merge.
     assert not qcap.solver._pauli_path(ch, ent_dims)
     cfg = cfg.resolved(ch)
-    inits = [initial_ensemble(ch.dim_in, cfg.n_states, cfg.seed, i) for i in range(cfg.starts)]
+    starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
     reference, shipped, seen = on_both(
-        lambda: qcap.solver._iterate(ch, inits, cfg, ent_dims), monkeypatch
+        lambda: qcap.solver._iterate(ch, *starts, cfg, ent_dims), monkeypatch
     )
     assert min(seen) < cfg.n_states
     assert_same(reference, shipped)

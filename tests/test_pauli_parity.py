@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcap
-from qcap import Channel, Ensemble, SolverConfig, initial_ensemble
-from support import random_density
+from qcap import Channel, Ensemble, SolverConfig
+from support import random_density, random_qubit_kraus
 
 # Both steps compute the same quantities in a different order, so they
 # differ by rounding alone.
@@ -47,15 +47,8 @@ def solve_both(ch, cfg, monkeypatch):
     # Every start `multi_start` would make.
     assert qcap.solver._pauli_path(ch, None)
     cfg = cfg.resolved(ch)
-    inits = [initial_ensemble(2, cfg.n_states, cfg.seed, i) for i in range(cfg.starts)]
-    assert_same(*on_both_steps(lambda: qcap.solver._iterate(ch, inits, cfg), monkeypatch))
-
-
-def random_qubit_channel(rng, n_kraus):
-    # Kraus operators cut from a random Stinespring isometry.
-    G = rng.standard_normal((2 * n_kraus, 2)) + 1j * rng.standard_normal((2 * n_kraus, 2))
-    Q, _ = np.linalg.qr(G)
-    return Channel(Q.reshape(n_kraus, 2, 2))
+    starts = qcap.solver._starts(2, cfg.n_states, cfg.seed, range(cfg.starts))
+    assert_same(*on_both_steps(lambda: qcap.solver._iterate(ch, *starts, cfg), monkeypatch))
 
 
 @pytest.mark.parametrize("seed", [0, 42])
@@ -72,7 +65,8 @@ def test_random_channels(monkeypatch, seed):
     # zero eigenvalue.
     rng = np.random.default_rng([seed, 2])
     for i in range(8):
-        solve_both(random_qubit_channel(rng, 1 + i % 4), SolverConfig(seed=seed), monkeypatch)
+        ch = Channel(random_qubit_kraus(rng, 1 + i % 4))
+        solve_both(ch, SolverConfig(seed=seed), monkeypatch)
 
 
 def test_replacement_channel(monkeypatch):
@@ -90,7 +84,7 @@ def test_replacement_channel(monkeypatch):
 def test_non_trace_preserving_map(monkeypatch):
     # The Pauli transfer matrix covers any Hermiticity-preserving map;
     # here the outputs have trace 0.81.
-    ch = random_qubit_channel(np.random.default_rng(5), 2)
+    ch = Channel(random_qubit_kraus(np.random.default_rng(5), 2))
     solve_both(Channel(0.9 * ch.kraus), SolverConfig(seed=5), monkeypatch)
 
 

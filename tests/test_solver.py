@@ -26,7 +26,7 @@ from qcap import (
     run,
     tensor,
 )
-from support import random_density, random_pure_ensemble
+from support import random_density, random_pure_ensemble, random_qubit_kraus
 
 GAMMA1_MAXIMIZER = Ensemble(
     np.array([0.521046, 0.478954]),
@@ -112,6 +112,31 @@ class TestStarts:
         for s in pi.states:
             assert np.linalg.eigvalsh(s)[-1] == pytest.approx(1.0, abs=1e-12)
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dim, n", [(2, 4), (2, 1), (3, 9), (4, 16), (9, 81)])
+    def test_stacked_starts_are_the_single_starts(self, dim, n, seed):
+        # `multi_start` builds its starts as one stack; each must be, bit
+        # for bit, the start `initial_ensemble` gives and the one drawn start
+        # by start (the canonical ensemble, or `random_start` from the
+        # start's own generator).
+        weights, states = qcap.solver._starts(dim, n, seed, range(5))
+        assert weights.shape == (5, n) and states.shape == (5, n, dim, dim)
+        for i in range(5):
+            single = initial_ensemble(dim, n, seed, i)
+            if i == 0 and (dim, n) == (2, 4):
+                drawn = canonical_qubit_start()
+            else:
+                drawn = random_start(dim, n, np.random.default_rng([seed, i]))
+            for pi in (single, drawn):
+                assert weights[i].tobytes() == pi.weights.tobytes()
+                assert states[i].tobytes() == pi.states.tobytes()
+
+    def test_canonical_start_is_read_only(self):
+        states = canonical_qubit_start().states
+        with pytest.raises(ValueError, match="read-only"):
+            states[0, 0, 0] = 0.0
+        assert initial_ensemble(2, 4, 0, 0).states[0, 0, 0] == 0.5
 
 
 class TestAbStep:
@@ -366,6 +391,72 @@ class TestRun:
         assert_allclose(clipped, raw, rtol=0, atol=1e-14)
 
 
+def parent_pauli_ascend(R, weights, phis):
+    # The Pauli step as first written, kept as the reference: Bloch vectors
+    # by a masked divide, `(0, 0, -1)` for a zero `g_vec`, and outputs
+    # re-assembled from R's columns.
+    g = phis @ R
+    gv = g[..., 1:]
+    norm = np.sqrt(np.einsum("snj,snj->sn", gv, gv))
+    theta = np.divide(gv, norm[..., None], out=np.zeros_like(gv), where=norm[..., None] > 0)
+    theta[norm == 0, 2] = -1.0
+    scores = (g[..., 0] + norm) / 2
+    new_w = weights * np.exp(scores - scores.max(axis=1, keepdims=True))
+    new_w /= new_w.sum(axis=1, keepdims=True)
+    return new_w, theta, R[:, 0] + theta @ R[:, 1:].T
+
+
+class TestPauliStep:
+    # The step computes the same numbers as the reference; only the order
+    # of the outputs' sums differs, so they agree to rounding.
+    TOL = 1e-15
+
+    def step_inputs(self, rng, R, s=3, n=4):
+        # The ascent operators of random pure states, as the solver forms
+        # them: the Holevo terms of their outputs under R.
+        weights = rng.random((s, n)) + 0.1
+        weights /= weights.sum(axis=1, keepdims=True)
+        theta = rng.standard_normal((s, n, 3))
+        theta /= np.linalg.norm(theta, axis=-1, keepdims=True)
+        coords = np.concatenate([np.ones((s, n, 1)), theta], axis=-1)
+        _, phis = qcap.entropy._holevo_terms(
+            weights, coords @ R.T, qcap.linalg._pauli_entropy_and_log
+        )
+        return weights, phis
+
+    def assert_matches_parent(self, R, weights, phis):
+        new_w, coords, outs = qcap.solver._pauli_ascend(R, weights, phis.copy())
+        ref_w, ref_theta, ref_outs = parent_pauli_ascend(R, weights, phis.copy())
+        assert_allclose(new_w, ref_w, rtol=0, atol=self.TOL)
+        assert np.array_equal(coords[..., 0], np.ones(weights.shape))
+        assert_allclose(coords[..., 1:], ref_theta, rtol=0, atol=self.TOL)
+        assert_allclose(outs, ref_outs, rtol=0, atol=self.TOL)
+
+    @pytest.mark.parametrize("n_kraus", [1, 2, 3, 4])
+    def test_random_stacks(self, rng, n_kraus):
+        for _ in range(25):
+            R = Channel(random_qubit_kraus(rng, n_kraus))._pauli_transfer
+            self.assert_matches_parent(R, *self.step_inputs(rng, R))
+
+    def test_signed_gamma3(self, rng):
+        R = qcap.fixture_channel("gamma3")._pauli_transfer
+        for _ in range(25):
+            self.assert_matches_parent(R, *self.step_inputs(rng, R))
+
+    def test_zero_g_vec_row_takes_the_lower_pole(self, rng):
+        # A trace-preserving R has first row (1, 0, 0, 0), so the ascent
+        # operator `(c, 0, 0, 0)` has `g = phi R = (c, 0, 0, 0)`: a dual
+        # image that is a multiple of the identity.
+        R = np.eye(4)
+        R[1:, 0] = rng.standard_normal(3) / 4
+        R[1:, 1:] = rng.standard_normal((3, 3)) / 2
+        weights, phis = self.step_inputs(rng, R)
+        phis[1, 2] = (-1.5, 0.0, 0.0, 0.0)
+        self.assert_matches_parent(R, weights, phis)
+        coords = qcap.solver._pauli_ascend(R, weights, phis)[1]
+        assert coords[1, 2].tolist() == [1.0, 0.0, 0.0, -1.0]
+
+
 class TestMultiStart:
     def test_gamma4_five_starts(self):
         res = multi_start(qcap.fixture_channel("gamma4"), SolverConfig(seed=42))
@@ -400,9 +491,9 @@ class TestMultiStart:
     def test_rounding_ties_keep_the_earliest_start(self, monkeypatch, gain, winner):
         capacities = [0.5, 0.5 + gain]
 
-        def fake_iterate(ch, inits, cfg, ent_dims=None):
-            return [CapacityResult(c, init, True, 1, i, IterationTrace(np.zeros(1)))
-                    for i, (c, init) in enumerate(zip(capacities, inits))]
+        def fake_iterate(ch, weights, states, cfg, ent_dims=None):
+            return [CapacityResult(c, Ensemble(w, S), True, 1, i, IterationTrace(np.zeros(1)))
+                    for i, (c, w, S) in enumerate(zip(capacities, weights, states))]
 
         monkeypatch.setattr(qcap.solver, "_iterate", fake_iterate)
         res = multi_start(qcap.fixture_channel("gamma1"), SolverConfig(starts=2))
@@ -417,11 +508,11 @@ class TestMultiStart:
         ch = g(pair[0]) if len(pair) == 1 else tensor(g(pair[0]), g(pair[1]))
         dims = (2, 2) if len(pair) == 2 else None
         cfg = SolverConfig(seed=42).resolved(ch)
-        inits = [initial_ensemble(ch.dim_in, cfg.n_states, 42, i) for i in range(cfg.starts)]
-        batched = qcap.solver._iterate(ch, inits, cfg, dims)
+        starts = qcap.solver._starts(ch.dim_in, cfg.n_states, 42, range(cfg.starts))
+        batched = qcap.solver._iterate(ch, *starts, cfg, dims)
         assert len({r.iterations_used for r in batched}) > 1
-        for index, (got, init) in enumerate(zip(batched, inits)):
-            solo = run(ch, init, cfg, dims)
+        for index, got in enumerate(batched):
+            solo = run(ch, initial_ensemble(ch.dim_in, cfg.n_states, 42, index), cfg, dims)
             assert got.start_index == index
             assert got.iterations_used == solo.iterations_used
             assert got.converged == solo.converged
