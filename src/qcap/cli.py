@@ -176,12 +176,12 @@ def cmd_capacity(args) -> int:
 
 def cmd_additivity(args) -> int:
     lhs = _channel(args.lhs)
-    rhs = _channel(args.rhs)
+    # A channel paired with itself (the paper's diagonal rows) is read and solved once.
+    rhs = lhs if args.rhs == args.lhs else _channel(args.rhs)
     # --states and --starts size the product solve; the factors keep their defaults.
     marginal = dataclasses.replace(_config(args), n_states=None, starts=None)
     r1 = multi_start(lhs, marginal)
-    # A channel paired with itself (the paper's diagonal rows) is solved once.
-    r2 = r1 if args.rhs == args.lhs else multi_start(rhs, marginal)
+    r2 = r1 if rhs is lhs else multi_start(rhs, marginal)
     prod = tensor(lhs, rhs)
     dims = (lhs.dim_in, rhs.dim_in)
     # Only the trace reads the per-iteration entanglement; the report

@@ -85,22 +85,15 @@ def _holevo_terms(
     # operators `Phi_i = log G(s_i) - log G(rho_bar)`, with
     # `G(rho_bar) = sum_i w_i G(s_i)`.  Outputs and ascent operators are
     # real coordinate stacks: (s, n, d*d) Hermitian coordinates
-    # (`linalg._herm_coords`) with `_entropy_and_log`, whose one eigh of
-    # the outputs and one of the s averages give every entropy and log,
-    # clamped at LOG_FLOOR; or, for qubits, (s, n, 4) Pauli coordinates
-    # with `linalg._pauli_entropy_and_log`.  The averages are linear
-    # either way.  The Pauli closed form costs little beyond its numpy
-    # calls' overhead, so there the averages are appended to the outputs,
-    # (s, n + 1, 4), and one call takes both.  An eigh costs its work, not
-    # its call, so the outputs and the averages keep one each, as the
-    # solver's tests count.
+    # (`linalg._herm_coords`) with `_entropy_and_log`, or, for qubits,
+    # (s, n, 4) Pauli coordinates with `linalg._pauli_entropy_and_log`.
+    # The averages are linear either way, so they are appended to the
+    # outputs, (s, n + 1, .), and one call gives every entropy and log,
+    # clamped at LOG_FLOOR: on Hermitian coordinates, one eigh of the
+    # outputs and averages together.
     avg = np.einsum("sn,sn...->s...", weights, outs)
-    if entropy_and_log is _entropy_and_log:
-        ents, phis = entropy_and_log(outs)
-        ent_bar, log_bar = entropy_and_log(avg)
-    else:
-        ents, logs = entropy_and_log(np.concatenate([outs, avg[:, None]], axis=1))
-        ents, ent_bar, phis, log_bar = ents[:, :-1], ents[:, -1], logs[:, :-1], logs[:, -1]
+    ents, logs = entropy_and_log(np.concatenate([outs, avg[:, None]], axis=1))
+    ents, ent_bar, phis, log_bar = ents[:, :-1], ents[:, -1], logs[:, :-1], logs[:, -1]
     phis -= log_bar[:, None]
     return ent_bar - np.einsum("sn,sn->s", weights, ents), phis
 

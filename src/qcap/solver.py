@@ -340,7 +340,7 @@ def _iterate(
     as valid ensembles (`run` and `multi_start` build them so).
 
     Each iteration takes the mutual information and ascent operators of
-    all starts from one eigh of their outputs and one of their averages.
+    all starts from one eigh of their outputs and averages together.
     It updates them with one eigvalsh of the dual images, whose top kets
     then come by inverse iteration (eigh only for a row with no gap below
     its top), and one apply of the new states, whose outputs the next

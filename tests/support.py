@@ -1,13 +1,22 @@
 """Shared helpers and independent oracles for the test suite.
 
-Everything here is deliberately written against raw numpy (not the
+The oracles are deliberately written against raw numpy (not the
 package's own linalg helpers) so that agreement between a test and the
-library is evidence, not circularity.
+library is evidence, not circularity.  The parity harness at the end
+runs the solver's own kernel twice, once with a part of it replaced by
+a reference, and compares the runs.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+import qcap
+from qcap import Channel, tensor
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -37,6 +46,11 @@ def random_density(rng, dim, rank=None):
 def random_hermitian(rng, dim, scale=1.0):
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (G + G.conj().T) / 2
+
+
+def random_hermitians(rng, n, d, scale=1.0):
+    G = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return scale * (G + G.conj().swapaxes(1, 2)) / 2
 
 
 def random_qubit_kraus(rng, n_kraus):
@@ -170,3 +184,57 @@ def two_point_bloch_oracle(A, b):
         t2, p2 = th2[j // len(ph2)], ph2[j % len(ph2)]
         dth, dph, dl = th1[1] - th1[0], ph1[1] - ph1[0], lams[1] - lams[0]
     return val
+
+
+def identity_channel(dim=2):
+    return Channel(np.eye(dim, dtype=complex)[None])
+
+
+def replacement_channel(probs):
+    """Every input goes to `diag(probs)`: generators `sqrt(p_a) |a><b|`."""
+    p = np.sqrt(probs)
+    e = np.eye(len(p))
+    return Channel(np.array([p[a] * np.outer(e[a], b) for a in range(len(p)) for b in e]))
+
+
+def product(*names):
+    """Tensor product of the named fixture channels, in order."""
+    return functools.reduce(tensor, [qcap.fixture_channel(name) for name in names])
+
+
+def every_start(ch, config, ent_dims=None):
+    """The `_iterate` results of every start `multi_start` makes."""
+    cfg = config.resolved(ch)
+    starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
+    return qcap.solver._iterate(ch, *starts, cfg, ent_dims)
+
+
+def patched(solve, **replacements):
+    """`solve()` with the named bindings of `qcap.solver` replaced."""
+    with pytest.MonkeyPatch.context() as m:
+        for name, value in replacements.items():
+            m.setattr(qcap.solver, name, value)
+        return solve()
+
+
+def assert_same_runs(reference, shipped, tol, weight_tol):
+    """Two lists of results take the same iterations to the same numbers.
+
+    Capacities and traces agree within `tol`, weights and weight-scaled
+    states within `weight_tol`.
+    """
+    for r, s in zip(reference, shipped, strict=True):
+        assert (r.iterations_used, r.converged) == (s.iterations_used, s.converged)
+        assert abs(r.capacity - s.capacity) <= tol
+        assert_allclose(r.trace.mutual_info, s.trace.mutual_info, rtol=0, atol=tol)
+        if r.trace.ent is not None:
+            assert_allclose(r.trace.ent, s.trace.ent, rtol=0, atol=tol)
+        assert r.ensemble.n_states == s.ensemble.n_states
+        assert_allclose(r.ensemble.weights, s.ensemble.weights, rtol=0, atol=weight_tol)
+        # States are compared weighted: a state's part in every reported
+        # number scales with its weight, and the iteration amplifies
+        # rounding in a state whose weight vanishes (on the ket step
+        # alone, nudging one start by 1e-15 moved a state of weight 3e-5
+        # by 2e-11 over 156 iterations).
+        dev = np.abs(r.ensemble.states - s.ensemble.states).max(axis=(1, 2))
+        assert (r.ensemble.weights * dev).max() <= weight_tol

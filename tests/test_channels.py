@@ -27,11 +27,8 @@ from qcap import (
 )
 from qcap.channels import PAULI_BASIS, _apply_batch, _dual_apply_batch, _pauli_operators
 from qcap.linalg import _herm_coords, _herm_operators, _pure_coords
-from support import PAULI_X, PAULI_Y, PAULI_Z, random_density, random_hermitian
-
-
-def identity_channel(dim=2):
-    return Channel(np.eye(dim, dtype=complex)[None])
+from support import PAULI_X, PAULI_Y, PAULI_Z, identity_channel, product, random_density
+from support import random_hermitian, random_hermitians
 
 
 def depolarizing_channel():
@@ -121,21 +118,15 @@ def isometry_channel_2_to_3(rng):
 
 
 def kernel_channel(which, rng):
-    g = qcap.fixture_channel
     if which == "2to3":
         return isometry_channel_2_to_3(rng)
     if which == "gamma3xgamma5":
-        return tensor(g("gamma3"), g("gamma5"))
-    return tensor(tensor(g("gamma1"), g("gamma1")), g("gamma1"))
+        return product("gamma3", "gamma5")
+    return product("gamma1", "gamma1", "gamma1")
 
 
 def random_matrices(rng, n, dim):
     return rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-
-
-def random_hermitians(rng, n, dim):
-    M = random_matrices(rng, n, dim)
-    return (M + M.conj().swapaxes(1, 2)) / 2
 
 
 @pytest.mark.parametrize("which", ["2to3", "gamma3xgamma5", "gamma1^3"])

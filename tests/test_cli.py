@@ -197,6 +197,15 @@ class TestAdditivity:
         assert once_solved == [2, 4] and twice_solved == [2, 2, 4]
         assert once == twice
 
+    def test_self_pair_reads_its_channel_once(self, capsys):
+        from qcap import cli
+
+        assert cli.main(["additivity", "--lhs", "gamma3", "--rhs", "gamma3"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: gamma3: not completely positive (min Choi eigenvalue -3.528336e-01); "
+            "proceeding with its signed form\n"
+        )
+
     def test_trace_file_contains_entanglement(self, tmp_path):
         trace = tmp_path / "prod.csv"
         proc = qcap_cmd(

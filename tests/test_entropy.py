@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import qcap
 from qcap import (
-    Channel,
     Ensemble,
+    SolverConfig,
     bloch_state,
     entanglement,
     j_functional,
@@ -15,7 +15,7 @@ from qcap import (
     rel_entropy,
 )
 from qcap.channels import apply
-from support import random_density, random_pure_ensemble, vn_entropy
+from support import identity_channel, product, random_density, random_pure_ensemble, vn_entropy
 
 # Printed two-point maximizer of the first benchmark channel: weights on
 # the +x / -x axis states.
@@ -23,10 +23,6 @@ GAMMA1_WEIGHTS = np.array([0.521046, 0.478954])
 GAMMA1_STATES = np.array(
     [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]], dtype=complex
 )
-
-
-def identity_channel(dim=2):
-    return Channel(np.eye(dim, dtype=complex)[None])
 
 
 class TestEnsemble:
@@ -162,6 +158,48 @@ class TestMutualInfo:
             ch = qcap.fixture_channel(name)
             w, S = random_pure_ensemble(rng, ch.dim_in, ch.dim_in**2)
             assert mutual_info(Ensemble(w, S), ch) <= np.log(ch.dim_out) + 1e-9
+
+
+def parent_holevo_terms(weights, outs):
+    # The ket step's Holevo terms as first written, kept as the reference:
+    # one eigh of the outputs and another of their averages.
+    avg = np.einsum("sn,sn...->s...", weights, outs)
+    ents, phis = qcap.linalg._entropy_and_log(outs)
+    ent_bar, log_bar = qcap.linalg._entropy_and_log(avg)
+    phis -= log_bar[:, None]
+    return ent_bar - np.einsum("sn,sn->s", weights, ents), phis
+
+
+class TestHolevoTerms:
+    # Appending the averages to the outputs changes no bit: LAPACK solves
+    # each matrix of a batch on its own.
+
+    def assert_matches_parent(self, ch, weights, states):
+        outs = qcap.entropy._output_coords(ch, states)
+        info, phis = qcap.entropy._holevo_terms(weights, outs)
+        ref_info, ref_phis = parent_holevo_terms(weights, outs)
+        assert_array_equal(info, ref_info)
+        assert_array_equal(phis, ref_phis)
+
+    @pytest.mark.parametrize(
+        "factors, starts",
+        [(("gamma5", "gamma6"), 3), (("gamma1",) * 4, 1), (("gamma3", "gamma1"), 5)],
+        ids=["gamma5xgamma6", "gamma1^4", "gamma3xgamma1"],
+    )
+    def test_start_stacks(self, factors, starts):
+        ch = product(*factors)
+        n = SolverConfig().resolved(ch).n_states
+        self.assert_matches_parent(ch, *qcap.solver._starts(ch.dim_in, n, 0, range(starts)))
+
+    def test_zero_weight_row(self, rng):
+        # As merge padding makes: a zero-weight copy of a row's first state.
+        ch = product("gamma2", "gamma4")
+        weights, states = qcap.solver._starts(4, 16, 0, range(3))
+        weights[1] = rng.random(16)
+        weights[1, -1] = 0.0
+        weights[1] /= weights[1].sum()
+        states[1, -1] = states[1, 0]
+        self.assert_matches_parent(ch, weights, states)
 
 
 class TestPhiOperator:

@@ -13,7 +13,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcap
-from qcap import Channel, Ensemble, SolverConfig, tensor
+from qcap import Channel, Ensemble, SolverConfig
+from support import assert_same_runs, every_start, patched, product, replacement_channel
 
 # Where a dual image's top has a gap, both kets lie within rounding of
 # the exact one (`eps * radius / gap` each; inverse iteration adds at most
@@ -25,7 +26,7 @@ TOL = 1e-12
 # Weights are rescaled by `exp(score)` every iteration, so a rounding-level
 # difference in a score compounds over the run (2.1e-12 at most over 84
 # starts of fixture products and gamma1 copies).  States are compared
-# weighted, as in the Pauli parity test, since the iteration amplifies
+# weighted (`support.assert_same_runs`), since the iteration amplifies
 # rounding in a state whose weight vanishes.
 WEIGHT_TOL = 1e-10
 
@@ -34,42 +35,13 @@ def eigh_top_kets(H):
     return np.linalg.eigh(H)[1][..., -1]
 
 
-def on_both(solve, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(qcap.solver, "_top_kets", eigh_top_kets)
-        reference = solve()
-    return reference, solve()
+def on_both(solve):
+    return patched(solve, _top_kets=eigh_top_kets), solve()
 
 
-def assert_same(reference, shipped):
-    for r, s in zip(reference, shipped, strict=True):
-        assert (r.iterations_used, r.converged) == (s.iterations_used, s.converged)
-        assert abs(r.capacity - s.capacity) <= TOL
-        assert_allclose(r.trace.mutual_info, s.trace.mutual_info, rtol=0, atol=TOL)
-        assert_allclose(r.ensemble.weights, s.ensemble.weights, rtol=0, atol=WEIGHT_TOL)
-        dev = np.abs(r.ensemble.states - s.ensemble.states).max(axis=(1, 2))
-        assert (r.ensemble.weights * dev).max() <= WEIGHT_TOL
-
-
-def solve_both(ch, cfg, monkeypatch):
-    # Every start `multi_start` would make.
+def solve_both(ch, cfg):
     assert not qcap.solver._pauli_path(ch, None)
-    cfg = cfg.resolved(ch)
-    starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    assert_same(*on_both(lambda: qcap.solver._iterate(ch, *starts, cfg), monkeypatch))
-
-
-def product(a, b):
-    return tensor(qcap.fixture_channel(a), qcap.fixture_channel(b))
-
-
-CHANNELS = {
-    "gamma5": lambda: qcap.fixture_channel("gamma5"),
-    "gamma6": lambda: qcap.fixture_channel("gamma6"),
-    "gamma2xgamma4": lambda: product("gamma2", "gamma4"),
-    "gamma1xgamma5": lambda: product("gamma1", "gamma5"),
-    "gamma5xgamma6": lambda: product("gamma5", "gamma6"),
-}
+    assert_same_runs(*on_both(lambda: every_start(ch, cfg)), TOL, WEIGHT_TOL)
 
 
 @pytest.mark.parametrize(
@@ -83,17 +55,15 @@ CHANNELS = {
         pytest.param("gamma5xgamma6", 0, marks=pytest.mark.slow),
     ],
 )
-def test_every_start(monkeypatch, name, seed):
-    solve_both(CHANNELS[name](), SolverConfig(seed=seed), monkeypatch)
+def test_every_start(name, seed):
+    solve_both(product(*name.split("x")), SolverConfig(seed=seed))
 
 
-def test_qutrit_replacement_channel(monkeypatch):
+def test_qutrit_replacement_channel():
     # Every input goes to one fixed state, so every dual image is a
     # multiple of the identity: both runs take eigh's |2> and capacity 0.
-    p = np.sqrt([0.5, 0.3, 0.2])
-    kraus = [p[a] * np.outer(np.eye(3)[a], np.eye(3)[b]) for a in range(3) for b in range(3)]
-    ch = Channel(np.array(kraus, dtype=complex))
-    solve_both(ch, SolverConfig(seed=3), monkeypatch)
+    ch = replacement_channel([0.5, 0.3, 0.2])
+    solve_both(ch, SolverConfig(seed=3))
     res = qcap.multi_start(ch, SolverConfig(seed=3))
     assert_allclose(res.ensemble.states, np.tile(np.diag([0.0, 0.0, 1.0]), (9, 1, 1)), atol=0)
     assert abs(res.capacity) <= TOL
@@ -109,24 +79,21 @@ def weyl_depolarizing(p):
     return Channel(np.array([c * W for c, W in zip(coef, weyl)]))
 
 
-def test_qutrit_depolarizing_channel(monkeypatch):
+def test_qutrit_depolarizing_channel():
     ch = weyl_depolarizing(0.4)
-    solve_both(ch, SolverConfig(seed=5), monkeypatch)
+    solve_both(ch, SolverConfig(seed=5))
     # From the maximally mixed state and |0> at equal weights the average
     # output is diag(a, b, b), so the first state's dual image is diagonal
     # with its top eigenvalue twice over; later steps start from eigh's ket.
     init = Ensemble(np.full(2, 0.5), np.array([np.eye(3) / 3, np.diag([1.0, 0, 0])], dtype=complex))
     tops = []
-    with monkeypatch.context() as m:
-        top_kets = qcap.solver._top_kets
+    top_kets = qcap.solver._top_kets
 
-        def recording(H):
-            w = np.linalg.eigvalsh(H)
-            tops.append(w[:, -1] - w[:, -2] <= qcap.linalg.TOP_GAP_REL * np.abs(w).max(axis=1))
-            return top_kets(H)
+    def recording(H):
+        w = np.linalg.eigvalsh(H)
+        tops.append(w[:, -1] - w[:, -2] <= qcap.linalg.TOP_GAP_REL * np.abs(w).max(axis=1))
+        return top_kets(H)
 
-        m.setattr(qcap.solver, "_top_kets", recording)
-        qcap.run(ch, init)
+    patched(lambda: qcap.run(ch, init), _top_kets=recording)
     assert tops[0].tolist() == [True, False]
-    reference, shipped = on_both(lambda: qcap.run(ch, init), monkeypatch)
-    assert_same([reference], [shipped])
+    assert_same_runs(*on_both(lambda: [qcap.run(ch, init)]), TOL, WEIGHT_TOL)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import qcap.linalg
 from qcap import herm_eig, hermitize, kron, matrix_log_psd, partial_trace, trace_product
 from qcap.linalg import TOP_GAP_REL, _top_kets
-from support import PAULI_X, PAULI_Y, PAULI_Z, exp_herm, random_hermitian
+from support import PAULI_X, PAULI_Y, PAULI_Z, exp_herm, random_hermitian, random_hermitians
 
 
 class TestHermEig:
@@ -242,11 +242,6 @@ def top_kets_quietly(H):
         return _top_kets(H)
 
 
-def random_hermitian_stack(rng, m, d, scale=1.0):
-    G = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
-    return scale * (G + G.conj().swapaxes(1, 2)) / 2
-
-
 class TestTopKets:
     def check_against_eigh(self, H):
         # Returns the mask of rows whose top eigenvalue has a gap.
@@ -273,10 +268,10 @@ class TestTopKets:
     @pytest.mark.parametrize("d", [2, 3, 9, 16])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
     def test_random_stacks(self, rng, d, scale):
-        assert self.check_against_eigh(random_hermitian_stack(rng, 64, d, scale)).all()
+        assert self.check_against_eigh(random_hermitians(rng, 64, d, scale)).all()
 
     def test_dimension_one(self, rng):
-        H = random_hermitian_stack(rng, 5, 1)
+        H = random_hermitians(rng, 5, 1)
         kets = top_kets_quietly(H)
         assert np.array_equal(kets, np.linalg.eigh(H)[1][..., -1])
         assert np.array_equal(kets, np.ones((5, 1)))
@@ -291,7 +286,7 @@ class TestTopKets:
         rows = [
             np.diag([3.0, 3.0, 1.0, 0.5]),
             U @ np.diag([3.0, 1.0, 3.0, 0.5]) @ U.conj().T,
-            random_hermitian_stack(rng, 1, 4)[0],
+            random_hermitians(rng, 1, 4)[0],
         ]
         gapped = self.check_against_eigh(np.array(rows, dtype=complex))
         assert gapped.tolist() == [False, False, True]
@@ -304,11 +299,11 @@ class TestTopKets:
         assert_allclose(np.abs(top_kets_quietly(H)), np.eye(3)[[1, 2, 0]], rtol=0, atol=1e-14)
 
     def test_gapped_stack_needs_no_eigh(self, rng, monkeypatch):
-        H = random_hermitian_stack(rng, 32, 9)
+        H = random_hermitians(rng, 32, 9)
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
         top_kets_quietly(H)
 
     def test_untrusted_residuals_take_eighs_ket(self, rng, monkeypatch):
-        H = random_hermitian_stack(rng, 16, 5)
+        H = random_hermitians(rng, 16, 5)
         monkeypatch.setattr(qcap.linalg, "TOP_RESIDUAL_REL", 0.0)
         assert np.array_equal(top_kets_quietly(H), np.linalg.eigh(H)[1][..., -1])

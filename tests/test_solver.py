@@ -24,9 +24,15 @@ from qcap import (
     mutual_info,
     random_start,
     run,
-    tensor,
 )
-from support import random_density, random_pure_ensemble, random_qubit_kraus
+from support import (
+    every_start,
+    identity_channel,
+    product,
+    random_density,
+    random_pure_ensemble,
+    random_qubit_kraus,
+)
 
 GAMMA1_MAXIMIZER = Ensemble(
     np.array([0.521046, 0.478954]),
@@ -38,10 +44,6 @@ GAMMA1_MAXIMIZER = Ensemble(
 # every other map (gamma5, a qutrit map) on kets; tests that cover the
 # kernel's step run on one of each.
 BOTH_PATHS = ("gamma1", "gamma5")
-
-
-def identity_channel(dim=2):
-    return Channel(np.eye(dim, dtype=complex)[None])
 
 
 class TestConfig:
@@ -211,10 +213,8 @@ class TestRun:
         assert res.capacity == pytest.approx(np.log(2), abs=1e-5)
 
     def test_product_channel_from_entangled_start(self):
-        g2 = qcap.fixture_channel("gamma2")
-        prod = tensor(g2, g2)
         init = initial_ensemble(4, 16, seed=0, index=0)
-        res = run(prod, init, SolverConfig(), ent_dims=(2, 2))
+        res = run(product("gamma2", "gamma2"), init, SolverConfig(), ent_dims=(2, 2))
         assert res.capacity == pytest.approx(0.517358, abs=1e-5)
         assert np.all(np.diff(res.trace.mutual_info) >= -1e-9)
         assert res.trace.ent is not None
@@ -284,23 +284,21 @@ class TestRun:
             calls.append(kwargs.get("optimize", False))
             return einsum(*args, **kwargs)
 
-        g = qcap.fixture_channel
-        product = tensor(g("gamma2"), g("gamma4"))
+        ch = product("gamma2", "gamma4")
         monkeypatch.setattr(np, "einsum", recording)
         # gamma1 takes the Pauli step, the product the ket step.
-        run(g("gamma1"), canonical_qubit_start(), SolverConfig(max_iters=5))
-        run(product, initial_ensemble(4, 16, 0, 0), SolverConfig(max_iters=5), ent_dims=(2, 2))
+        run(qcap.fixture_channel("gamma1"), canonical_qubit_start(), SolverConfig(max_iters=5))
+        run(ch, initial_ensemble(4, 16, 0, 0), SolverConfig(max_iters=5), ent_dims=(2, 2))
         assert calls
         assert not any(calls)
 
-    @pytest.mark.parametrize("ent, per_iter", [(False, 3), (True, 4)])
+    @pytest.mark.parametrize("ent, per_iter", [(False, 2), (True, 3)])
     def test_eigendecompositions_per_iteration(self, monkeypatch, ent, per_iter):
-        # Two eigh, of the outputs and of their average, and one eigvalsh of
-        # the dual images, whose top kets then come by inverse iteration;
-        # plus, for the traced entanglement, one eigvalsh of each updated
-        # stack's smaller marginals.
-        g = qcap.fixture_channel
-        product = tensor(g("gamma2"), g("gamma4"))
+        # One eigh, of the outputs and their averages together, and one
+        # eigvalsh of the dual images, whose top kets then come by inverse
+        # iteration; plus, for the traced entanglement, one eigvalsh of each
+        # updated stack's smaller marginals.
+        ch = product("gamma2", "gamma4")
         dims = (2, 2) if ent else None
         calls = {"eigh": 0, "eigvalsh": 0}
 
@@ -318,16 +316,16 @@ class TestRun:
             for name in calls:
                 calls[name] = 0
             init = initial_ensemble(4, 16, 0, 0)
-            run(product, init, SolverConfig(max_iters=iters), ent_dims=dims)
+            run(ch, init, SolverConfig(max_iters=iters), ent_dims=dims)
             return dict(calls)
 
         five, six = count(5), count(6)
-        assert six["eigh"] - five["eigh"] == 2
-        assert six["eigvalsh"] - five["eigvalsh"] == per_iter - 2
+        assert six["eigh"] - five["eigh"] == 1
+        assert six["eigvalsh"] - five["eigvalsh"] == per_iter - 1
         # The last iteration makes no update (four updates in five
         # iterations), and the initial states' entanglement takes the
         # general form's three eigvalsh.
-        assert five == {"eigh": 10, "eigvalsh": (4 + 4 + 3) if ent else 4}
+        assert five == {"eigh": 5, "eigvalsh": (4 + 4 + 3) if ent else 4}
 
     @pytest.mark.parametrize("name", ["gamma1", "gamma3"])
     def test_qubit_map_needs_no_eigendecomposition(self, monkeypatch, name):
@@ -350,23 +348,20 @@ class TestRun:
         # Iteration 1 traces the initial states in the general form, later
         # ones the updated kets in the Schmidt form; both must give what
         # `entanglement` gives for the ensemble returned at that iteration.
-        g = qcap.fixture_channel
-        product = tensor(g(pair[0]), g(pair[1]))
-        d = product.dim_in
+        ch = product(*pair)
+        d = ch.dim_in
         init = initial_ensemble(d, d * d, 0, 0)
         for k in range(1, 7):
-            res = run(product, init, SolverConfig(max_iters=k), ent_dims=dims)
+            res = run(ch, init, SolverConfig(max_iters=k), ent_dims=dims)
             assert len(res.trace.ent) == k
             assert res.trace.ent[-1] == pytest.approx(
                 entanglement(res.ensemble, *dims), abs=1e-13
             )
 
     def test_mixed_initial_states_take_the_general_form(self, rng):
-        g = qcap.fixture_channel
-        product = tensor(g("gamma2"), g("gamma4"))
         states = np.array([random_density(rng, 4, rank=2) for _ in range(6)])
         init = Ensemble(np.full(6, 1 / 6), states)
-        res = run(product, init, SolverConfig(max_iters=3), ent_dims=(2, 2))
+        res = run(product("gamma2", "gamma4"), init, SolverConfig(max_iters=3), ent_dims=(2, 2))
         assert res.trace.ent[0] == entanglement(init, 2, 2)
 
     def test_traced_entanglement_is_clipped_rounding_only(self, monkeypatch):
@@ -380,12 +375,11 @@ class TestRun:
             ent = -2.0 * (p * np.log(np.maximum(p, qcap.linalg.LOG_FLOOR))).sum(axis=1)
             return ent.reshape(kets.shape[:-1])
 
-        g = qcap.fixture_channel
-        product = tensor(g("gamma1"), g("gamma5"))
+        ch = product("gamma1", "gamma5")
         init = initial_ensemble(6, 36, 0, 0)
-        clipped = run(product, init, SolverConfig(), ent_dims=(2, 3)).trace.ent
+        clipped = run(ch, init, SolverConfig(), ent_dims=(2, 3)).trace.ent
         monkeypatch.setattr(qcap.solver, "_schmidt_terms", unclipped)
-        raw = run(product, init, SolverConfig(), ent_dims=(2, 3)).trace.ent
+        raw = run(ch, init, SolverConfig(), ent_dims=(2, 3)).trace.ent
         assert np.all(clipped[1:] >= 0)
         assert (raw[1:] < 0).any()
         assert_allclose(clipped, raw, rtol=0, atol=1e-14)
@@ -504,12 +498,10 @@ class TestMultiStart:
         # gamma4 at seed 42 stops its starts after 28, 29, 31, 41 and 34
         # iterations, so starts leave the stack at different steps.  gamma4
         # takes the Pauli step, the product the ket step.
-        g = qcap.fixture_channel
-        ch = g(pair[0]) if len(pair) == 1 else tensor(g(pair[0]), g(pair[1]))
+        ch = product(*pair)
         dims = (2, 2) if len(pair) == 2 else None
         cfg = SolverConfig(seed=42).resolved(ch)
-        starts = qcap.solver._starts(ch.dim_in, cfg.n_states, 42, range(cfg.starts))
-        batched = qcap.solver._iterate(ch, *starts, cfg, dims)
+        batched = every_start(ch, cfg, dims)
         assert len({r.iterations_used for r in batched}) > 1
         for index, got in enumerate(batched):
             solo = run(ch, initial_ensemble(ch.dim_in, cfg.n_states, 42, index), cfg, dims)
