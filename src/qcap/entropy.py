@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import Channel, apply
 from .linalg import (
-    LOG_FLOOR,
+    _clamped_logs,
     _entropy_and_log,
     _herm_coords,
     _herm_operators,
@@ -70,9 +70,9 @@ class Ensemble:
         return np.einsum("n,nab->ab", self.weights, self.states)
 
 
-def rel_entropy(rho: np.ndarray, sigma: np.ndarray, floor: float = LOG_FLOOR) -> float:
+def rel_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy `D(rho || sigma) = Tr[rho (log rho - log sigma)]`."""
-    diff = matrix_log_psd(rho, floor) - matrix_log_psd(sigma, floor)
+    diff = matrix_log_psd(rho) - matrix_log_psd(sigma)
     return trace_product(np.asarray(rho, dtype=complex), diff).real
 
 
@@ -96,13 +96,6 @@ def _holevo_terms(
     ents, ent_bar, phis, log_bar = ents[:, :-1], ents[:, -1], logs[:, :-1], logs[:, -1]
     phis -= log_bar[:, None]
     return ent_bar - np.einsum("sn,sn->s", weights, ents), phis
-
-
-def _entropy_batch(stack: np.ndarray) -> np.ndarray:
-    # von Neumann entropies of a (n, d, d) stack from eigenvalues alone,
-    # clamped at LOG_FLOOR inside the log exactly as `_entropy_and_log`.
-    w = np.linalg.eigvalsh(stack)
-    return -(w * np.log(np.maximum(w, LOG_FLOOR))).sum(axis=1)
 
 
 def mutual_info(pi: Ensemble, ch: Channel) -> float:
@@ -165,7 +158,8 @@ def entanglement(pi: Ensemble, dim_a: int, dim_b: int) -> float:
 
 def _entanglement_terms(states: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     # Per-component `S(s^A) + S(s^B) - S(s)` of a (..., d, d) stack: three
-    # eigvalsh calls however many starts and components it holds.
+    # eigvalsh calls however many starts and components it holds, each
+    # spectrum clamped as `_entropy_and_log` clamps it (`_clamped_logs`).
     da, db = dim_a, dim_b
     d = states.shape[-1]
     if d != da * db:
@@ -174,8 +168,8 @@ def _entanglement_terms(states: np.ndarray, dim_a: int, dim_b: int) -> np.ndarra
     T = flat.reshape(-1, da, db, da, db)
     rho_a = np.einsum("nabcb->nac", T)
     rho_b = np.einsum("nabad->nbd", T)
-    ent = _entropy_batch(rho_a) + _entropy_batch(rho_b) - _entropy_batch(flat)
-    return ent.reshape(states.shape[:-2])
+    S_a, S_b, S = (_clamped_logs(np.linalg.eigvalsh(X))[0] for X in (rho_a, rho_b, flat))
+    return (S_a + S_b - S).reshape(states.shape[:-2])
 
 
 def _schmidt_terms(kets: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -191,5 +185,4 @@ def _schmidt_terms(kets: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     if dim_a > dim_b:
         M = M.swapaxes(1, 2)
     p = np.clip(np.linalg.eigvalsh(M @ M.conj().swapaxes(1, 2)), 0.0, 1.0)
-    ent = -2.0 * (p * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=1)
-    return ent.reshape(kets.shape[:-1])
+    return 2.0 * _clamped_logs(p)[0].reshape(kets.shape[:-1])

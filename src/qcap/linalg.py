@@ -67,13 +67,7 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     of Hermitian factors before feeding them back into an eigensolver.
     """
     M = np.asarray(M)
-    # `M†` is copied out contiguous, and `M` is added and the sum halved in
-    # place: a sum that read `M†` as a strided view would cost half as much
-    # again.
-    H = np.conjugate(M.swapaxes(-1, -2), order="C", dtype=np.result_type(M.dtype, 0.5))
-    H += M
-    H /= 2
-    return H
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def herm_eig(H: np.ndarray) -> EigenDecomposition:
@@ -141,19 +135,19 @@ def _top_kets(H: np.ndarray) -> np.ndarray:
     return kets
 
 
-def matrix_log_psd(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
+def matrix_log_psd(P: np.ndarray) -> np.ndarray:
     """Hermitian logarithm of a positive semidefinite matrix.
 
-    Eigenvalues below `floor` are clamped to `floor` before taking logs,
-    so rank-deficient density matrices get a large negative but finite
-    log on their kernel.  An eigenvalue below -1e-9 means the input is
-    not PSD and raises ValueError.
+    Eigenvalues below `LOG_FLOOR` (1e-12) are clamped to it before taking
+    logs, so rank-deficient density matrices get a large negative but
+    finite log on their kernel.  An eigenvalue below -1e-9 means the
+    input is not PSD and raises ValueError.
     """
     P = _require_hermitian(P, "P")
     w_min = np.linalg.eigvalsh(P)[0]
     if w_min < -PSD_ATOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w_min:.3e})")
-    return _log_psd_batch(P[None], floor)[0]
+    return _log_psd_batch(P[None])[0]
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -222,40 +216,45 @@ def _pure_coords(kets: np.ndarray) -> np.ndarray:
     return P.reshape(kets.shape[0], -1)
 
 
-def _entropy_and_log(y: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def _clamped_logs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The one clamp of the package: for a (..., k) stack of spectra, the
+    # von Neumann entropies `-sum_j w_j log w_j` and the logs, each
+    # eigenvalue clamped at LOG_FLOOR inside the log.  Eigenvalues below
+    # the floor are clamped without complaint: channel outputs can dip
+    # marginally below zero along the iteration when a signed map acts on
+    # entangled states, and the ascent only needs the clamped log there.
+    logs = np.log(np.maximum(w, LOG_FLOOR))
+    return -(w * logs).sum(axis=-1), logs
+
+
+def _entropy_and_log(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One eigh of a (..., d*d) stack of Hermitian coordinates gives both the
-    # von Neumann entropies `-sum_j w_j log w_j` and the coordinates of the
-    # logs, eigenvalues clamped at `floor` inside the log.  The phase
-    # convention is skipped (both are basis-independent).  Eigenvalues
-    # below `floor` are clamped without complaint: callers feed channel
-    # outputs, which can dip marginally below zero along the iteration when
-    # a signed map acts on entangled states, and the ascent only needs the
-    # clamped log there.  The log's rounding-level anti-Hermitian part is
-    # not projected out; `_herm_coords` leaves it at that level.
+    # entropies and the coordinates of the logs (`_clamped_logs`).  The
+    # phase convention is skipped (both are basis-independent).  The log's
+    # rounding-level anti-Hermitian part is not projected out;
+    # `_herm_coords` leaves it at that level.
     w, V = np.linalg.eigh(_herm_operators(y))
-    logs = np.log(np.maximum(w, floor))
+    ents, logs = _clamped_logs(w)
     scaled = V * logs[..., None, :]
     np.conjugate(V, out=V)  # in place: one stack fewer at the step's memory peak
-    return -(w * logs).sum(axis=-1), _herm_coords(scaled @ V.swapaxes(-1, -2))
+    return ents, _herm_coords(scaled @ V.swapaxes(-1, -2))
 
 
-def _log_psd_batch(P: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
+def _log_psd_batch(P: np.ndarray) -> np.ndarray:
     # Batched clamped Hermitian log of a (n, d, d) stack.
-    return _herm_operators(_entropy_and_log(_herm_coords(P), floor)[1])
+    return _herm_operators(_entropy_and_log(_herm_coords(P))[1])
 
 
-def _pauli_entropy_and_log(y: np.ndarray, floor: float = LOG_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def _pauli_entropy_and_log(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # `_entropy_and_log` of a (..., 4) stack of qubit operators given by
     # their Pauli coordinates `y = (t, r)`, `y_j = Tr[s_j P]`, in closed
-    # form: P has eigenvalues `(t -+ |r|)/2`, clamped at `floor` inside the
-    # log as there, and its log has coordinates
-    # `(l_- + l_+, (l_+ - l_-) r / |r|)`.  No eigendecomposition.
+    # form: P has eigenvalues `(t -+ |r|)/2`, and its clamped log has
+    # coordinates `(l_- + l_+, (l_+ - l_-) r / |r|)`.  No eigendecomposition.
     r = y[..., 1:]
     norm = np.sqrt(np.einsum("...j,...j->...", r, r))
-    w = (y[..., :1] + norm[..., None] * _MINUS_PLUS) / 2
-    logs = np.log(np.maximum(w, floor))
+    ents, logs = _clamped_logs((y[..., :1] + norm[..., None] * _MINUS_PLUS) / 2)
     # Where |r| is 0 (or below the smallest normal double) both logs are
     # equal, so any positive divisor gives the 0 that is wanted there.
     coords = y * ((logs[..., 1] - logs[..., 0]) / np.maximum(norm, _TINY))[..., None]
     coords[..., 0] = logs[..., 0] + logs[..., 1]
-    return -np.einsum("...j,...j->...", w, logs), coords
+    return ents, coords

@@ -94,6 +94,10 @@ class SolverConfig:
             raise ValueError("n_states, starts and max_iters must be positive")
         if self.patience < 2:
             raise ValueError("patience must be at least 2")
+        # Start 0 of a qubit solve draws nothing, so the seed is checked here,
+        # whichever starts run.
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         places = self.decimal_places
         if not (isinstance(places, (int, np.integer)) and 1 <= places <= MAX_DECIMAL_PLACES):
             raise ValueError(
@@ -238,63 +242,62 @@ def _reweight(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return new_w
 
 
-def _merge_roots(kets: np.ndarray, sizes: np.ndarray) -> np.ndarray | None:
-    # For each ket of an (s, m, d) stack whose row r holds `sizes[r]` kets
-    # and then padding, the ket it merges into: the lowest-indexed ket of
-    # its row within MERGE_TOL of it (or itself), followed down until a ket
-    # merges into itself, so that a chain of near kets forms one group.
-    # None if no ket merges.  One overlap matmul picks the pairs near
-    # enough to measure, and only their distances are computed.
-    s, m, _ = kets.shape
-    overlap = kets.conj() @ kets.swapaxes(1, 2)  # <a_i|a_j>
-    flat = np.flatnonzero(np.abs(overlap) > _MERGE_OVERLAP)  # 3-d nonzero is slower
-    st, i, j = flat // (m * m), flat // m % m, flat % m
-    pairs = (j < i) & (i < sizes[st])
-    st, i, j = st[pairs], i[pairs], j[pairs]
+def _merge_roots(kets: np.ndarray) -> np.ndarray | None:
+    # For each ket of one start's (m, d) stack, the ket it merges into: the
+    # lowest-indexed ket within MERGE_TOL of it (or itself), followed down
+    # until a ket merges into itself, so that a chain of near kets forms
+    # one group.  None if no ket merges.  One overlap matmul picks the
+    # pairs near enough to measure, and only their distances are computed.
+    overlap = kets.conj() @ kets.T  # <a_i|a_j>
+    i, j = np.nonzero(np.abs(overlap) > _MERGE_OVERLAP)
+    i, j = i[j < i], j[j < i]
     # `e^{i phi} = <a_j|a_i> / |<a_j|a_i>|` brings ket j nearest ket i.
-    phase = overlap[st, i, j].conj()
+    phase = overlap[i, j].conj()
     phase /= np.abs(phase)
-    near = np.linalg.norm(kets[st, i] - phase[:, None] * kets[st, j], axis=1) <= MERGE_TOL
+    near = np.linalg.norm(kets[i] - phase[:, None] * kets[j], axis=1) <= MERGE_TOL
     if not near.any():
         return None
-    root = np.tile(np.arange(m), (s, 1))
-    np.minimum.at(root, (st[near], i[near]), j[near])
-    while True:
-        down = np.take_along_axis(root, root, axis=1)
-        if np.array_equal(down, root):
-            return root
-        root = down
+    root = np.arange(len(kets))
+    np.minimum.at(root, i[near], j[near])
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    return root
 
 
 def _merge(weights, kets, outs, rows, groups, shares):
-    # Merge each start's coincident kets (`_merge_roots`) into their lowest
-    # one, with the sum of their weights.  The update reads a state only
-    # through its own output and the shared average, so coincident states
-    # stay coincident and keep their weight ratio: each original component
-    # of start `idx` is kept as its row `groups[idx]` in the stack and its
-    # constant share `shares[idx]` of that row's weight.  The stack shrinks
-    # to the widest start's group count; a narrower start is padded with
-    # zero-weight copies of its first ket, whose weight stays zero and
-    # whose score equals that ket's, and which no later merge reads.
-    sizes = np.array([groups[idx].max() + 1 for idx in rows])
-    root = _merge_roots(kets, sizes)
-    if root is None:
+    # Merge each start's coincident kets (`_merge_roots`, one start at a
+    # time) into their lowest one, with the sum of their weights.  The
+    # update reads a state only through its own output and the shared
+    # average, so coincident states stay coincident and keep their weight
+    # ratio: each original component of start `idx` is kept as its row
+    # `groups[idx]` in the stack and its constant share `shares[idx]` of
+    # that row's weight.  The stack shrinks to the widest start's group
+    # count; a narrower start is padded with zero-weight copies of its
+    # first ket, whose weight stays zero and whose score equals that
+    # ket's, and which no later merge reads.  If no start merges, the
+    # stack is returned as it is.  Batching the starts would save little at
+    # one merge per MERGE_EVERY updates: on one core this loop spent 15 ms
+    # of a 1.0 s five-start `gamma1^(x)3` solve, as the batched form did,
+    # and 20 ms against its 16 ms of a 2.0 s `gamma5 (x) gamma6` one.
+    sizes = [groups[idx].max() + 1 for idx in rows]
+    roots = [_merge_roots(kets[row, :size]) for row, size in enumerate(sizes)]
+    if all(root is None for root in roots):
         return weights, kets, outs
-    s, m = weights.shape
-    tops = (root == np.arange(m)) & (np.arange(m) < sizes[:, None])
-    counts = tops.sum(axis=1)
-    take = np.zeros((s, counts.max()), dtype=int)
-    new_w = np.zeros(take.shape)
-    for row, (idx, size, count) in enumerate(zip(rows, sizes, counts)):
+    kept = []  # per start: its groups' lowest kets and summed weights
+    for row, (idx, size, root) in enumerate(zip(rows, sizes, roots)):
+        top, label = np.unique(np.arange(size) if root is None else root, return_inverse=True)
         w = weights[row, :size]
-        label = np.cumsum(tops[row])[root[row, :size]] - 1
         total = np.bincount(label, w)
         share = np.divide(w, total[label], out=np.zeros(size), where=total[label] > 0)
         shares[idx] = shares[idx] * share[groups[idx]]
         groups[idx] = label[groups[idx]]
-        take[row, :count] = np.flatnonzero(tops[row])
-        new_w[row, :count] = total
-    at = np.arange(s)[:, None], take
+        kept.append((top, total))
+    take = np.zeros((len(rows), max(len(top) for top, _ in kept)), dtype=int)
+    new_w = np.zeros(take.shape)
+    for row, (top, total) in enumerate(kept):
+        take[row, : len(top)] = top
+        new_w[row, : len(top)] = total
+    at = np.arange(len(rows))[:, None], take
     return new_w, kets[at], outs[at]
 
 
@@ -357,14 +360,15 @@ def _iterate(
     mixed, takes the general form; that of every later stack takes the
     pure-state Schmidt form, one small eigvalsh per update.
 
-    Every `MERGE_EVERY` updates, the kets of each start that coincide
-    within `MERGE_TOL` (after phase alignment) are merged into one row
-    with their summed weight (`_merge`), and the stack shrinks to the
-    start with the most distinct kets.  Coincident states stay coincident
-    and keep their weight ratio, so each start records every component's
-    row and constant share of its weight, and its result is expanded back
-    to all `n` components.  A converging `gamma1^(x)4` stack falls from
-    256 rows to 16, and each distinct state is stepped once.
+    Every `MERGE_EVERY` updates, `_merge` takes the starts one at a time
+    and merges the kets of each that coincide within `MERGE_TOL` (after
+    phase alignment) into one row with their summed weight; the stack
+    then shrinks to the start with the most distinct kets.  Coincident
+    states stay coincident and keep their weight ratio, so each start
+    records every component's row and constant share of its weight, and
+    its result is expanded back to all `n` components.  A converging
+    `gamma1^(x)4` stack falls from 256 rows to 16, and each distinct
+    state is stepped once.
 
     A qubit -> qubit map without tracked entanglement takes the same
     steps in real Pauli coordinates instead (`_pauli_ascend`): a qubit

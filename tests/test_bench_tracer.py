@@ -6,7 +6,6 @@ bindings would only surface as an AttributeError under `--trace 1`;
 this test makes it fail here instead.
 """
 
-import sys
 from pathlib import Path
 
 import numpy as np

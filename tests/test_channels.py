@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,18 +26,7 @@ from qcap import (
 from qcap.channels import PAULI_BASIS, _apply_batch, _dual_apply_batch, _pauli_operators
 from qcap.linalg import _herm_coords, _herm_operators, _pure_coords
 from support import PAULI_X, PAULI_Y, PAULI_Z, identity_channel, product, random_density
-from support import random_hermitian, random_hermitians
-
-
-def depolarizing_channel():
-    # G(rho) = I/2 via the four matrix-unit generators / sqrt(2)
-    ops = []
-    for k in range(2):
-        for l in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[k, l] = 1 / np.sqrt(2)
-            ops.append(E)
-    return Channel(np.array(ops))
+from support import random_hermitian, random_hermitians, replacement_channel
 
 
 class TestApply:
@@ -261,7 +248,7 @@ class TestChoi:
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarizing_channel(self):
-        assert_allclose(choi(depolarizing_channel()), np.eye(4) / 2, atol=1e-12)
+        assert_allclose(choi(replacement_channel([0.5, 0.5])), np.eye(4) / 2, atol=1e-12)
 
     def test_gamma4_choi_psd(self):
         w = np.linalg.eigvalsh(choi(qcap.fixture_channel("gamma4")))

@@ -1,6 +1,7 @@
 """End-to-end command line tests via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,17 +9,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcap import multi_start
+from qcap import multi_start, save_channel
+from support import replacement_channel
 
-CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
+ROOT = Path(__file__).resolve().parent.parent
+CHANNEL_DIR = ROOT / "channels"
 
 
-def qcap_cmd(*args):
+def child_env():
+    # The child imports `qcap` from this checkout's `src`, ahead of any
+    # other `qcap` on the path, with or without an install.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def qcap_cmd(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "qcap.cli", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
+        env=child_env(),
     )
 
 
@@ -29,18 +40,6 @@ def write_identity_channel(path):
         "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
     }
     path.write_text(json.dumps(d))
-    return path
-
-
-def write_depolarizing_channel(path):
-    s = 1 / np.sqrt(2)
-    mats = []
-    for k in range(2):
-        for l in range(2):
-            M = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-            M[k][l] = [s, 0.0]
-            mats.append(M)
-    path.write_text(json.dumps({"name": "depolarizing", "kind": "kraus", "kraus": mats}))
     return path
 
 
@@ -70,7 +69,8 @@ class TestCapacity:
         assert json.loads(proc.stdout)["capacity_nats"] == pytest.approx(0.243068, abs=1e-5)
 
     def test_depolarizing_capacity_is_zero(self, tmp_path):
-        path = write_depolarizing_channel(tmp_path / "dep.json")
+        path = tmp_path / "dep.json"
+        save_channel(replacement_channel([0.5, 0.5]), path)  # every input goes to I/2
         proc = qcap_cmd("capacity", "--channel", str(path), "--seed", "0")
         assert proc.returncode == 0, proc.stderr
         assert abs(json.loads(proc.stdout)["capacity_nats"]) <= 1e-6
@@ -136,6 +136,22 @@ class TestCapacity:
     def test_non_strict_tolerates_non_convergence(self):
         proc = qcap_cmd("capacity", "--channel", "gamma5", "--max-iters", "5", "--seed", "0")
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # The canonical qubit start draws nothing; the others draw kets.
+            ["capacity", "--channel", "gamma1", "--starts", "1"],
+            ["capacity", "--channel", "gamma1", "--starts", "2"],
+            ["capacity", "--channel", "gamma5"],
+            ["additivity", "--lhs", "gamma1", "--rhs", "gamma2", "--starts", "1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, args):
+        proc = qcap_cmd(*args, "--seed", "-1")
+        assert proc.returncode == 2
+        assert "seed must be nonnegative, got -1" in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("places", ["-1", "0", "30"])
     def test_places_outside_1_to_15_exits_2(self, places):
@@ -249,11 +265,7 @@ class TestRegularized:
 
     def test_huge_copy_count_refused_at_once(self):
         # The budget check must not form 3 ** 10_000_000.
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcap.cli", "regularized", "--channel", "gamma5",
-             "--copies", "10000000"],
-            capture_output=True, text=True, timeout=10,
-        )
+        proc = qcap_cmd("regularized", "--channel", "gamma5", "--copies", "10000000", timeout=10)
         assert proc.returncode == 2
         assert "dimension budget" in proc.stderr
 

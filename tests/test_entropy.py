@@ -6,7 +6,6 @@ import qcap
 from qcap import (
     Ensemble,
     SolverConfig,
-    bloch_state,
     entanglement,
     j_functional,
     kron,

@@ -121,7 +121,7 @@ class TestMatrixLogPsd:
 
     def test_rank_deficient_clamps(self):
         P = np.diag([1.0, 0.0])
-        L = matrix_log_psd(P, floor=1e-12)
+        L = matrix_log_psd(P)
         assert np.isfinite(L).all()
         assert_allclose(L, L.conj().T, atol=1e-10)
         assert L[1, 1].real == pytest.approx(np.log(1e-12))

@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(patience=1).resolved(ch)
 
+    @pytest.mark.parametrize("name, starts", [("gamma1", 1), ("gamma1", 2), ("gamma5", 1)])
+    def test_rejects_a_negative_seed(self, name, starts):
+        # gamma1's one start is the canonical ensemble and draws nothing.
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SolverConfig(starts=starts, seed=-1).resolved(qcap.fixture_channel(name))
+
     @pytest.mark.parametrize("places", [-1, 0, 16, 30, 6.0])
     def test_rejects_decimal_places_outside_1_to_15(self, places):
         # A coarse rounding declares convergence early at a wrong value;
