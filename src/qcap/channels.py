@@ -8,20 +8,20 @@ negative eigenvalue can still be applied, tensored and fed to the
 capacity solver.  Qubit channels may alternatively be specified by
 their action on the Bloch ball, `theta -> A theta + b`.
 
-Channels preserve Hermiticity, so a channel is held as a real matrix on
-Hermitian coordinates.  The coordinates of a Hermitian d x d matrix are
-`h(X) = Re X + Im X`, flattened row-major to d^2 reals
+Channels preserve Hermiticity, so the solver holds a channel as a real
+matrix on Hermitian coordinates.  The coordinates of a Hermitian d x d
+matrix are `h(X) = Re X + Im X`, flattened row-major to d^2 reals
 (`linalg._herm_coords`).  Re X is symmetric and Im X antisymmetric, so h
 is an isometry: `<h(A), h(B)> = Tr[AB]`.  `Channel._transfer` is the
 real `d_out^2 x d_in^2` matrix `R` with `h(G(X)) = R h(X)`, and the dual
 map is its transpose, `h(G*(Y)) = R' h(Y)`.  `R` is built once per
 channel from the Choi operator and cached, so a batch of inputs costs
 one real matrix product however many generators the channel has.
-`apply`, `dual_apply` and their batched forms accept any complex matrix,
-split into Hermitian parts as `X = A + iB`.  A qubit -> qubit map also
-caches the real 4 x 4 form of the map in the Pauli basis.  A channel's
-arrays are read-only, which keeps the cached matrices in step with the
-generators.
+`apply`, `dual_apply` and their batched forms evaluate the operator sum
+and its dual `sum_k s_k V_k^dag Y V_k` as written, so they check `R`
+rather than share it.  A qubit -> qubit map also caches the real 4 x 4
+form of the map in the Pauli basis.  A channel's arrays are read-only,
+which keeps the cached matrices in step with the generators.
 
 This module owns the qubit Pauli convention: `PAULI_BASIS` and its
 batched conversions `_pauli_coords`, `_pauli_operators` and
@@ -38,14 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import (
-    PSD_ATOL,
-    _herm_coords,
-    _herm_operators,
-    herm_eig,
-    hermitize,
-    kron,
-)
+from .linalg import PSD_ATOL, herm_eig, hermitize
 
 TP_ATOL = 1e-9
 KRAUS_CUT = 1e-12
@@ -209,22 +202,15 @@ def dual_apply(ch: Channel, Y: np.ndarray) -> np.ndarray:
 
 
 def _apply_batch(ch: Channel, states: np.ndarray) -> np.ndarray:
-    # states: (n, d_in, d_in) -> (n, d_out, d_out)
-    return _map_batch(states, ch._transfer.T)
+    # `sum_k s_k V_k X V_k^dag` of an (n, d_in, d_in) stack, (n, d_out, d_out).
+    VX = ch.kraus[:, None] @ states
+    return np.einsum("k,knai,kbi->nab", ch.signs, VX, ch.kraus.conj())
 
 
 def _dual_apply_batch(ch: Channel, Ys: np.ndarray) -> np.ndarray:
-    # Ys: (n, d_out, d_out) -> (n, d_in, d_in)
-    return _map_batch(Ys, ch._transfer)
-
-
-def _map_batch(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # The linear map `h(X) -> h(X) M` on Hermitian coordinates, applied to
-    # a complex (n, d, d) stack: `X = A + iB` with `A = (X + X^dag)/2` and
-    # `B = (X - X^dag)/2i` Hermitian, and both parts take one matmul.
-    n = X.shape[0]
-    parts = _herm_operators(_herm_coords(np.concatenate([hermitize(X), hermitize(-1j * X)])) @ M)
-    return parts[:n] + 1j * parts[n:]
+    # `sum_k s_k V_k^dag Y V_k` of an (n, d_out, d_out) stack, (n, d_in, d_in).
+    YV = Ys @ ch.kraus[:, None]
+    return np.einsum("k,kai,knaj->nij", ch.signs, ch.kraus.conj(), YV)
 
 
 def choi(ch: Channel) -> np.ndarray:
@@ -315,8 +301,11 @@ def tensor(ch1: Channel, ch2: Channel) -> Channel:
     signs, so the signed form composes the same way genuine Kraus
     representations do.
     """
-    ops = np.array([kron(V1, V2) for V1 in ch1.kraus for V2 in ch2.kraus])
-    signs = np.array([s1 * s2 for s1 in ch1.signs for s2 in ch2.signs])
+    (m1, o1, i1), (m2, o2, i2) = ch1.kraus.shape, ch2.kraus.shape
+    # The products `np.kron` forms, in its order, by one broadcast multiply.
+    ops = ch1.kraus[:, None, :, None, :, None] * ch2.kraus[:, None, :, None, :]
+    ops = ops.reshape(m1 * m2, o1 * o2, i1 * i2)
+    signs = np.outer(ch1.signs, ch2.signs).ravel()
     name = None
     if ch1.name and ch2.name:
         name = f"{ch1.name}(x){ch2.name}"

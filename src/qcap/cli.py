@@ -66,6 +66,12 @@ def _channel(arg: str, usable: bool = True) -> Channel:
     return ch
 
 
+def _pair(args) -> tuple[Channel, Channel]:
+    # A channel paired with itself (the paper's diagonal rows) is read and validated once.
+    lhs = _channel(args.lhs)
+    return lhs, (lhs if args.rhs == args.lhs else _channel(args.rhs))
+
+
 def _config(args) -> SolverConfig:
     if not 1 <= args.places <= MAX_DECIMAL_PLACES:
         raise InputError(f"--places must be from 1 to {MAX_DECIMAL_PLACES}, got {args.places}")
@@ -175,9 +181,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_additivity(args) -> int:
-    lhs = _channel(args.lhs)
-    # A channel paired with itself (the paper's diagonal rows) is read and solved once.
-    rhs = lhs if args.rhs == args.lhs else _channel(args.rhs)
+    lhs, rhs = _pair(args)  # a self-pair is solved once too
     # --states and --starts size the product solve; the factors keep their defaults.
     marginal = dataclasses.replace(_config(args), n_states=None, starts=None)
     r1 = multi_start(lhs, marginal)
@@ -251,8 +255,7 @@ def cmd_regularized(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    lhs = _channel(args.lhs)
-    rhs = _channel(args.rhs)
+    lhs, rhs = _pair(args)
     prod = tensor(lhs, rhs)
     # Start 0 alone; `--starts` is checked but not used.
     cfg = dataclasses.replace(_config(args).resolved(prod), starts=1)

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply
+from .channels import Channel
 from .linalg import (
     _clamped_logs,
     _entropy_and_log,
     _herm_coords,
     _herm_operators,
     matrix_log_psd,
+    partial_trace,
     trace_product,
 )
 
@@ -119,7 +120,7 @@ def _output_coords(ch: Channel, states: np.ndarray) -> np.ndarray:
 
 def phi_operator(sigma_p: np.ndarray, rho_p: np.ndarray, ch: Channel) -> np.ndarray:
     """`Phi = log G(sigma') - log G(rho')`, the solver's ascent direction seed."""
-    _, logs = _entropy_and_log(_herm_coords(np.stack([apply(ch, sigma_p), apply(ch, rho_p)])))
+    _, logs = _entropy_and_log(_output_coords(ch, np.stack([sigma_p, rho_p])))
     return _herm_operators(logs[0] - logs[1])
 
 
@@ -160,16 +161,12 @@ def _entanglement_terms(states: np.ndarray, dim_a: int, dim_b: int) -> np.ndarra
     # Per-component `S(s^A) + S(s^B) - S(s)` of a (..., d, d) stack: three
     # eigvalsh calls however many starts and components it holds, each
     # spectrum clamped as `_entropy_and_log` clamps it (`_clamped_logs`).
-    da, db = dim_a, dim_b
     d = states.shape[-1]
-    if d != da * db:
-        raise ValueError(f"ensemble dimension {d} does not split as {da}x{db}")
-    flat = states.reshape(-1, d, d)
-    T = flat.reshape(-1, da, db, da, db)
-    rho_a = np.einsum("nabcb->nac", T)
-    rho_b = np.einsum("nabad->nbd", T)
-    S_a, S_b, S = (_clamped_logs(np.linalg.eigvalsh(X))[0] for X in (rho_a, rho_b, flat))
-    return (S_a + S_b - S).reshape(states.shape[:-2])
+    if d != dim_a * dim_b:
+        raise ValueError(f"ensemble dimension {d} does not split as {dim_a}x{dim_b}")
+    rho_a, rho_b = (partial_trace(states, dim_a, dim_b, keep) for keep in ("first", "second"))
+    S_a, S_b, S = (_clamped_logs(np.linalg.eigvalsh(X))[0] for X in (rho_a, rho_b, states))
+    return S_a + S_b - S
 
 
 def _schmidt_terms(kets: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

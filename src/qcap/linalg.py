@@ -156,20 +156,22 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(X: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator.
+    """Trace out one tensor factor of a bipartite operator or a stack of them.
 
-    `X` acts on a space of dimension `dim_a * dim_b`; `keep` selects
+    `X` is a (..., d, d) array with `d = dim_a * dim_b`; `keep` selects
     which factor survives, "first" or "second".
     """
     da, db = dim_a, dim_b
-    X = _require_square(X, "X")
-    if X.shape[0] != da * db:
-        raise ValueError(f"operator has dimension {X.shape[0]}, expected {da * db}")
-    T = X.reshape(da, db, da, db)
+    X = np.asarray(X)
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
+        raise ValueError(f"X must be a square matrix, got shape {X.shape}")
+    if X.shape[-1] != da * db:
+        raise ValueError(f"operator has dimension {X.shape[-1]}, expected {da * db}")
+    T = X.reshape(*X.shape[:-2], da, db, da, db)
     if keep == "first":
-        return np.trace(T, axis1=1, axis2=3)
+        return np.einsum("...abcb->...ac", T)
     if keep == "second":
-        return np.trace(T, axis1=0, axis2=2)
+        return np.einsum("...abad->...bd", T)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 

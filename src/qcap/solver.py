@@ -146,9 +146,18 @@ def _projectors(kets: np.ndarray) -> np.ndarray:
     return np.einsum("...na,...nb->...nab", kets, kets.conj())
 
 
-def _draw_kets(rng: np.random.Generator, n_states: int, dim: int) -> np.ndarray:
-    # `n_states` isotropic complex Gaussian kets, not yet normalized.
-    return rng.standard_normal((n_states, dim)) + 1j * rng.standard_normal((n_states, dim))
+def _unit_kets(rng: np.random.Generator, n_states: int, dim: int) -> np.ndarray:
+    # `n_states` isotropic complex Gaussian kets, normalized.
+    psi = rng.standard_normal((n_states, dim)) + 1j * rng.standard_normal((n_states, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return psi
+
+
+def _require_start_inputs(dim: int, n_states: int, seed: int = 0, index: int = 0) -> None:
+    bounds = (("dim", dim, 1), ("n_states", n_states, 1), ("seed", seed, 0), ("index", index, 0))
+    for name, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 # `canonical_qubit_start`'s states, shared read-only.
@@ -174,9 +183,8 @@ def random_start(dim: int, n_states: int, rng: np.random.Generator) -> Ensemble:
     Vectors are isotropic complex Gaussians, normalized, so on composite
     spaces the states are generically entangled across any factor split.
     """
-    psi = _draw_kets(rng, n_states, dim)
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    return Ensemble(np.full(n_states, 1.0 / n_states), _projectors(psi))
+    _require_start_inputs(dim, n_states)
+    return Ensemble(np.full(n_states, 1.0 / n_states), _projectors(_unit_kets(rng, n_states, dim)))
 
 
 def canonical_qubit_start() -> Ensemble:
@@ -193,16 +201,15 @@ def _starts(dim: int, n_states: int, seed: int, indices) -> tuple[np.ndarray, np
     # The (s, n) weights and (s, n, d, d) states of the starts `indices`,
     # unvalidated: start 0 of a four-state qubit ensemble is the canonical
     # one, every other start `i` takes its kets from `default_rng([seed, i])`,
-    # exactly as `random_start` draws them.  The kets take one
-    # normalization and one projector product for the whole stack.
+    # exactly as `random_start` draws them.  The kets take one projector
+    # product for the whole stack.
     canonical = []
     psi = np.ones((len(indices), n_states, dim), dtype=complex)
     for row, index in enumerate(indices):
         if index == 0 and dim == 2 and n_states == 4:
             canonical.append(row)
         else:
-            psi[row] = _draw_kets(np.random.default_rng([seed, index]), n_states, dim)
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+            psi[row] = _unit_kets(np.random.default_rng([seed, index]), n_states, dim)
     states = _projectors(psi)
     for row in canonical:
         states[row] = _CANONICAL_QUBIT_STATES
@@ -211,6 +218,7 @@ def _starts(dim: int, n_states: int, seed: int, indices) -> tuple[np.ndarray, np
 
 def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble:
     """Start ensemble for restart `index`: deterministic at 0, seeded random after."""
+    _require_start_inputs(dim, n_states, seed, index)
     weights, states = _starts(dim, n_states, seed, [index])
     return Ensemble(weights[0], states[0])
 

@@ -326,6 +326,19 @@ class TestTensor:
         rho = random_density(rng, 8)
         assert_allclose(apply(left, rho), apply(right, rho), atol=1e-10)
 
+    @pytest.mark.parametrize("left", qcap.FIXTURE_NAMES)
+    @pytest.mark.parametrize("right", qcap.FIXTURE_NAMES)
+    def test_generators_are_the_kronecker_products(self, left, right):
+        # Bit for bit the pairwise `np.kron` products, in their order, with
+        # the products of the signs.
+        a, b = qcap.fixture_channel(left), qcap.fixture_channel(right)
+        prod = tensor(a, b)
+        kraus = np.array([np.kron(V1, V2) for V1 in a.kraus for V2 in b.kraus])
+        signs = np.array([s1 * s2 for s1 in a.signs for s2 in b.signs])
+        assert prod.kraus.shape == kraus.shape
+        assert prod.kraus.tobytes() == kraus.tobytes()
+        assert prod.signs.tobytes() == signs.tobytes()
+
     def test_signed_factor_keeps_bloch_action(self, rng):
         # Product with the signed map still factorizes on product inputs.
         g3 = qcap.fixture_channel("gamma3")

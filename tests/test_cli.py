@@ -334,6 +334,23 @@ class TestTrace:
         assert len(rows) > 100
         assert all(float(r[2]) >= 0 for r in rows[1:])
 
+    def test_self_pair_reads_its_channel_once(self, capsys):
+        # As `additivity` does: one read, one warning, and the trace that
+        # naming the channel two ways (fixture and file) gives.
+        from qcap import cli
+
+        runs = []
+        for rhs in ("gamma3", str(CHANNEL_DIR / "gamma3.json")):
+            assert cli.main(["trace", "--lhs", "gamma3", "--rhs", rhs]) == 0
+            runs.append(capsys.readouterr())
+        (once, twice) = runs
+        assert once.err == (
+            "warning: gamma3: not completely positive (min Choi eigenvalue -3.528336e-01); "
+            "proceeding with its signed form\n"
+        )
+        assert twice.err.count("warning:") == 2
+        assert once.out == twice.out
+
     def test_starts_checked_though_unused(self, capsys):
         # The trace runs start 0 alone, but a bad --starts is still refused.
         from qcap import cli

@@ -1,16 +1,19 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses,
+and no private helper of the package is left without a caller.
 
-No linter runs on this repository, so this `ast` scan stands in for
+No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
 name on a line marked `# noqa: F401` is a binding kept for the
 benchmark's tracer to wrap; both count as used.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "qcap").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "qcap").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -56,3 +59,51 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def unreferenced_private_defs(sources: list[str]) -> list[str]:
+    """Module-level private functions and classes no source names elsewhere.
+
+    A definition counts as referenced when an `ast.Name` or `ast.Attribute`
+    of its name appears in any of `sources` outside its own body, so
+    neither recursion nor a mention in a comment or string keeps it.
+    """
+    trees = [ast.parse(source) for source in sources]
+    refs = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append(node)
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            name = getattr(node, "name", "")
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and name.startswith("_")
+                and not name.startswith("__")
+            ):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if all(id(ref) in own for ref in refs[name]):
+                dead.append(name)
+    return dead
+
+
+def test_dead_helper_scanner_flags_only_unreferenced_defs():
+    sources = [
+        "def _called():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Unused:\n    pass\n"
+        "def public():\n    # _Unused is named in a comment only\n    return _called(), '_Unused'\n"
+        "def __getattr__(name):\n    pass\n",
+        "import other\nother._by_attribute()\n",
+        "def _by_attribute():\n    pass\n",
+    ]
+    assert unreferenced_private_defs(sources) == ["_recursive", "_Unused"]
+
+
+def test_no_dead_private_helpers():
+    assert unreferenced_private_defs([path.read_text() for path in PACKAGE]) == []

@@ -180,6 +180,19 @@ class TestPartialTrace:
                 np.trace(X).real, abs=1e-12
             )
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("keep", ["first", "second"])
+    def test_stack_is_the_matrix_calls(self, dims, keep, rng):
+        # An (s, n, d, d) stack gives, bit for bit, the 2-D call on each matrix.
+        da, db = dims
+        d = da * db
+        X = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        stacked = partial_trace(X, da, db, keep)
+        single = np.array([[partial_trace(M, da, db, keep) for M in row] for row in X])
+        k = da if keep == "first" else db
+        assert stacked.shape == single.shape == (2, 3, k, k)
+        assert stacked.tobytes() == single.tobytes()
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             partial_trace(np.eye(5), 2, 2, "first")

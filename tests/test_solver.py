@@ -140,6 +140,25 @@ class TestStarts:
                 assert weights[i].tobytes() == pi.weights.tobytes()
                 assert states[i].tobytes() == pi.states.tobytes()
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((2, 4, -1, 0), "seed"),
+            ((2, 4, -1, 1), "seed"),
+            ((2, 4, 1, -1), "index"),
+            ((2, 0, 1, 1), "n_states"),
+            ((0, 4, 1, 1), "dim"),
+        ],
+    )
+    def test_initial_ensemble_names_a_bad_input(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            initial_ensemble(*args)
+
+    @pytest.mark.parametrize("dim, n, name", [(2, 0, "n_states"), (0, 4, "dim")])
+    def test_random_start_names_a_bad_input(self, dim, n, name, rng):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            random_start(dim, n, rng)
+
     def test_canonical_start_is_read_only(self):
         states = canonical_qubit_start().states
         with pytest.raises(ValueError, match="read-only"):
