@@ -86,6 +86,11 @@ def _config(args) -> SolverConfig:
 
 
 def _result_fields(res: CapacityResult) -> dict:
+    # Checked here, before any trace or report is written, so that a
+    # numerical failure leaves no file behind.
+    states = res.ensemble.states
+    if not np.isfinite(states).all():
+        raise np.linalg.LinAlgError("non-finite entry in the ensemble states")
     return {
         "capacity_nats": res.capacity,
         "converged": res.converged,
@@ -93,8 +98,8 @@ def _result_fields(res: CapacityResult) -> dict:
         "start_index": res.start_index,
         "ensemble": {
             "weights": [float(w) for w in res.ensemble.weights],
-            # Kept as the complex (n, d, d) array; `_render` writes it.
-            "states": res.ensemble.states,
+            # Kept as the complex (n, d, d) array; `_report_pieces` writes it.
+            "states": states,
         },
     }
 
@@ -115,42 +120,55 @@ def _array_template(shape: tuple, level: int) -> str:
     return "[" + pad + ("," + pad).join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
-def _render(report: dict) -> str:
-    # A report's ensemble states go from their array to the bytes that
-    # `json.dumps(indent=2)` writes for their `[re, im]` lists, without the
-    # lists (about 200k objects at 4 copies of gamma1) or the pure-Python
-    # encoder that `indent` takes over them.  `format(x, "")` of a float is
-    # `repr(x)`, which is what `json` writes for a finite float.
+def _report_pieces(report: dict):
+    # Yields, in order, the bytes of `json.dumps(report, indent=2,
+    # sort_keys=True)` with each ensemble state written as its nested
+    # `[re, im]` lists.  The states go straight from their array through
+    # `_array_template`: `format(x, "")` of a float is `repr(x)`, which is
+    # what `json` writes for a finite float.  Each distinct state, keyed
+    # by its bytes (so -0.0 and 0.0 stay apart), is formatted once and its
+    # block kept only until its last copy is out.
     if "ensemble" not in report:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    S = report["ensemble"]["states"]
-    wire = np.stack([S.real, S.imag], axis=-1)
-    if not np.isfinite(wire).all():
-        raise np.linalg.LinAlgError("non-finite entry in the ensemble states")
+        yield json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return
+    states = report["ensemble"]["states"]
+    # A complex entry holds its real and imaginary parts side by side, so
+    # each row is one state's numbers in `[re, im]` order.
+    wire = np.ascontiguousarray(states, dtype=complex).view(np.float64).reshape(len(states), -1)
     marked = {**report, "ensemble": {**report["ensemble"], "states": _STATES_MARK}}
     head, tail = json.dumps(marked, indent=2, sort_keys=True).split(json.dumps(_STATES_MARK))
     # "states" sits in "ensemble" in the report: two indents deep.
-    block = _array_template(wire.shape, 2).format(*wire.ravel().tolist())
-    return "".join([head, block, tail, "\n"])
-
-
-def _write(path: str, text: str) -> None:
-    # An `--out` or `--trace` path that cannot be written (a directory, a
-    # missing parent, no permission) is bad input, not a crash.
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+    frame = _array_template((len(states),), 2).split("{}")
+    template = _array_template((*states.shape[1:], 2), 3)
+    keys = [row.tobytes() for row in wire]
+    last = {key: i for i, key in enumerate(keys)}
+    blocks: dict[bytes, str] = {}
+    yield head + frame[0]
+    for i, key in enumerate(keys):
+        block = blocks.pop(key, None)
+        if block is None:
+            block = template.format(*wire[i].tolist())
+        if last[key] > i:
+            blocks[key] = block
+        yield block
+        yield frame[i + 1]
+    yield tail + "\n"
 
 
 def _emit(report: dict | str, out: str | None) -> None:
-    # JSON reports and CSV traces share one stdout-or-file path.
-    if not isinstance(report, str):
-        report = _render(report)
-    if out:
-        _write(out, report)
-    else:
-        sys.stdout.write(report)
+    # JSON reports and CSV traces share one stdout-or-file path.  A report
+    # is written in pieces and never held whole.  A path that cannot be
+    # written (a directory, a missing parent, no permission) is bad input,
+    # not a crash.
+    pieces = [report] if isinstance(report, str) else _report_pieces(report)
+    if not out:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(out, "w") as f:
+            f.writelines(pieces)
+    except OSError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _trace_rows(res: CapacityResult) -> str:
@@ -174,9 +192,10 @@ def _strict_exit(args, *results: CapacityResult) -> int:
 def cmd_capacity(args) -> int:
     ch = _channel(args.channel)
     res = multi_start(ch, _config(args))
+    report = _result_fields(res)
     if args.trace:
-        _write(args.trace, _trace_rows(res))
-    _emit(_result_fields(res), args.out)
+        _emit(_trace_rows(res), args.trace)
+    _emit(report, args.out)
     return _strict_exit(args, res)
 
 
@@ -203,7 +222,7 @@ def cmd_additivity(args) -> int:
         }
     )
     if args.trace:
-        _write(args.trace, _trace_rows(rp))
+        _emit(_trace_rows(rp), args.trace)
     _emit(report, args.out)
     return _strict_exit(args, r1, r2, rp)
 

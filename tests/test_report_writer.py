@@ -1,13 +1,17 @@
-"""Reports rendered from the result arrays against `json.dumps` of lists.
+"""Reports streamed from the result arrays against `json.dumps` of lists.
 
-`cli._render` writes the ensemble's states from their complex array
-through `cli._array_template`.  The reference is the path it replaced:
-each state turned into nested `[re, im]` lists by `_matrix_to_wire`, and
-the whole report passed through `json.dumps(indent=2, sort_keys=True)`.
-Every report must match it byte for byte, on stdout and in `--out`.
+`cli._emit` writes a report in pieces from `cli._report_pieces`: the
+`json.dumps` head, one block per ensemble state through
+`cli._array_template` (formatted once per distinct state), and the tail.
+The reference is the path it replaced: each state turned into nested
+`[re, im]` lists by `_matrix_to_wire`, and the whole report passed
+through `json.dumps(indent=2, sort_keys=True)`.  Every report must match
+it byte for byte, on stdout and in `--out`.
 """
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,12 +105,82 @@ def test_four_copy_report(tmp_path, monkeypatch, capsys):
     assert np.shape(report["ensemble"]["states"]) == (256, 16, 16, 2)
 
 
+def synthetic_report(states) -> dict:
+    states = np.asarray(states, dtype=complex)
+    n = len(states)
+    return {"capacity_nats": 0.5, "ensemble": {"weights": [1.0 / n] * n, "states": states}}
+
+
+def emitted_report(report, capsys) -> str:
+    capsys.readouterr()
+    cli._emit(report, None)
+    return capsys.readouterr().out
+
+
+def test_signed_zero_states_keep_their_own_repr(capsys):
+    # Equal as numbers, different as bytes: each state keeps its own block.
+    A = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    B = A.copy()
+    B[0, 1] = complex(-0.0, 0.0)
+    report = synthetic_report([A, B])
+    text = emitted_report(report, capsys)
+    assert text == reference_report(report)
+    assert text.count("-0.0") == 1
+
+
+def test_repeated_state_reuses_its_block_in_place(capsys):
+    A = np.array([[1 / 3, 0.1j], [-0.1j, 2 / 3]])
+    B = np.array([[2.5e-310, 1e16], [1e16, 1e-7]], dtype=complex)
+    report = synthetic_report([A, B, A])
+    text = emitted_report(report, capsys)
+    assert text == reference_report(report)
+    listed = json.loads(text)["ensemble"]["states"]
+    assert listed[0] == listed[2] != listed[1]
+
+
+def test_single_component_report(capsys):
+    report = synthetic_report([[[1.0, 0.0], [0.0, 0.0]]])
+    assert emitted_report(report, capsys) == reference_report(report)
+
+
+class NullStream(io.TextIOBase):
+    """Counts the characters written to it and keeps none of them."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+def test_four_copy_shaped_report_is_never_held_whole(monkeypatch):
+    # Shaped like the `gamma1` 4-copy report: 256 components of 16 x 16,
+    # 16 distinct states.  Holding the whole text, its template or its
+    # float list would take more than the report's own length.
+    rng = np.random.default_rng(0)
+    kets = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    distinct = np.einsum("na,nb->nab", kets, kets.conj())
+    report = synthetic_report(distinct[rng.permutation(np.arange(256) % 16)])
+    sink = NullStream()
+    monkeypatch.setattr(cli.sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit(report, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length == len(reference_report(report))
+    assert peak < sink.length
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan), complex(0, -np.inf)])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_non_finite_state_exits_3(entry, to_file, tmp_path, monkeypatch, capsys):
     # `Ensemble` refuses a non-finite state, so the entry is written into
     # a valid ensemble after its checks: the report's own finiteness check
-    # must still stop it.
+    # must still stop it, before any report or trace is written.
     ensemble = Ensemble(np.ones(1), np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
     states = np.array([[[1.0, entry], [np.conj(entry), 0.0]]], dtype=complex)
     object.__setattr__(ensemble, "states", states)
@@ -115,10 +189,15 @@ def test_non_finite_state_exits_3(entry, to_file, tmp_path, monkeypatch, capsys)
         iterations_used=1, start_index=0, trace=IterationTrace(np.array([0.5])),
     )
     monkeypatch.setattr(cli, "multi_start", lambda *args, **kwargs: result)
-    out = tmp_path / "report.json"
-    argv = ["capacity", "--channel", "gamma1"] + (["--out", str(out)] if to_file else [])
-    assert cli.main(argv) == 3
-    captured = capsys.readouterr()
-    assert "numerical failure" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
+    out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    commands = (["capacity", "--channel", "gamma1"], ["additivity", "--lhs", "gamma1", "--rhs", "gamma1"])
+    for command in commands:
+        for traced in (False, True):
+            argv = command + (["--out", str(out)] if to_file else [])
+            argv += ["--trace", str(trace)] if traced else []
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert "numerical failure" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+            assert not trace.exists()
