@@ -116,8 +116,8 @@ class Channel:
 
     def __post_init__(self):
         K = np.array(self.kraus, dtype=complex)
-        if K.ndim != 3:
-            raise ValueError(f"kraus must be a (m, d_out, d_in) stack, got shape {K.shape}")
+        if K.ndim != 3 or 0 in K.shape:
+            raise ValueError(f"kraus must be a nonempty (m, d_out, d_in) stack, got {K.shape}")
         _require_finite(K, "kraus")
         s = self.signs
         s = np.ones(K.shape[0]) if s is None else np.array(s, dtype=float)
@@ -355,14 +355,38 @@ def _matrix_to_wire(M: np.ndarray) -> list:
     return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
-def _matrix_from_wire(rows) -> np.ndarray:
+# What each descriptor field holds, and how deep its lists nest.
+_WIRE_FIELDS = {
+    "kraus": ("a list of generators, each a matrix of [re, im] pairs", 4),
+    "A": ("a matrix", 2),
+    "b": ("a vector", 1),
+}
+
+
+def _array_from_wire(value, field: str) -> np.ndarray:
+    # The one acceptance rule for a descriptor's numbers: equal-length
+    # lists, nested to the field's depth, of JSON numbers that a float64
+    # or a 64-bit integer holds.  `np.array` with no dtype raises on
+    # ragged lists (and on lists more than 64 deep), and gives strings,
+    # nulls, objects and larger integers a dtype outside bool, int, uint
+    # and float.  The last axis of `kraus` holds the `[re, im]` pairs,
+    # read as complex numbers by a view, which keeps a -0.0 part as is.
+    form, depth = _WIRE_FIELDS[field]
     try:
-        M = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed complex matrix: {exc}") from None
-    if M.ndim != 2:
-        raise ValueError("malformed complex matrix: ragged rows")
-    return M
+        a = np.array(value)
+    except ValueError:
+        raise ValueError(f"{field} must be {form}: its lists are ragged or nest too deep") from None
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{field} must be {form}: it holds entries that are not JSON numbers "
+                         "or are integers too large for 64 bits")
+    if a.ndim != depth:
+        raise ValueError(f"{field} must be {form}: its lists nest {a.ndim} deep, not {depth}")
+    a = a.astype(float)
+    if field != "kraus":
+        return a
+    if a.shape[-1] != 2:
+        raise ValueError(f"{field} must be {form}: its entries have {a.shape[-1]} numbers, not 2")
+    return a.view(complex)[..., 0]
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -371,18 +395,11 @@ def channel_to_dict(ch: Channel) -> dict:
         return {
             "name": ch.name,
             "kind": "affine_qubit",
-            "affine": {
-                "A": [[float(v) for v in row] for row in ch.origin.A],
-                "b": [float(v) for v in ch.origin.b],
-            },
+            "affine": {"A": ch.origin.A.tolist(), "b": ch.origin.b.tolist()},
         }
     if not np.all(ch.signs == 1.0):
         raise ValueError("signed channels without affine origin have no descriptor form")
-    return {
-        "name": ch.name,
-        "kind": "kraus",
-        "kraus": [_matrix_to_wire(V) for V in ch.kraus],
-    }
+    return {"name": ch.name, "kind": "kraus", "kraus": _matrix_to_wire(ch.kraus)}
 
 
 def channel_from_dict(d: dict, *, allow_non_cp: bool = False) -> Channel:
@@ -391,22 +408,17 @@ def channel_from_dict(d: dict, *, allow_non_cp: bool = False) -> Channel:
         raise ValueError("channel descriptor must be a JSON object")
     kind = d.get("kind")
     name = d.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"name must be a string or null, got {type(name).__name__}")
     if kind == "kraus":
         if "kraus" not in d:
             raise ValueError("kind 'kraus' requires a 'kraus' list of generator matrices")
-        ops = [_matrix_from_wire(rows) for rows in d["kraus"]]
-        shapes = {V.shape for V in ops}
-        if len(shapes) != 1:
-            raise ValueError(f"generators disagree on shape: {sorted(shapes)}")
-        return Channel(np.array(ops), name=name)
+        return Channel(_array_from_wire(d["kraus"], "kraus"), name=name)
     if kind == "affine_qubit":
         aff = d.get("affine")
         if not isinstance(aff, dict) or "A" not in aff or "b" not in aff:
             raise ValueError("kind 'affine_qubit' requires 'affine' with fields 'A' and 'b'")
-        try:
-            data = AffineQubit(np.array(aff["A"], dtype=float), np.array(aff["b"], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed affine data: {exc}") from None
+        data = AffineQubit(_array_from_wire(aff["A"], "A"), _array_from_wire(aff["b"], "b"))
         return affine_to_channel(data, name=name, allow_non_cp=allow_non_cp)
     raise ValueError(f"unknown channel kind {kind!r} (expected 'kraus' or 'affine_qubit')")
 
@@ -416,7 +428,7 @@ def load_channel(path: str | Path, *, allow_non_cp: bool = False) -> Channel:
     text = Path(path).read_text()
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     return channel_from_dict(d, allow_non_cp=allow_non_cp)
 

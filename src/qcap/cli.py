@@ -38,19 +38,20 @@ class InputError(ValueError):
 
 
 def _channel(arg: str, usable: bool = True) -> Channel:
-    # Accept a descriptor path or a built-in name like "gamma2".  A usable
-    # channel must be trace preserving; a non-PSD Choi operator only draws
-    # a warning so that signed maps stay usable end to end.  A path that
-    # cannot be read (a directory, no permission) is bad input too.
-    if arg in FIXTURE_NAMES and not Path(arg).exists():
-        ch = fixture_channel(arg)
-    elif not Path(arg).exists():
-        raise InputError(f"no such channel file or built-in name: {arg}")
-    else:
-        try:
+    # Accept a descriptor path or, where no such path exists, a built-in
+    # name like "gamma2".  A usable channel must be trace preserving; a
+    # non-PSD Choi operator only draws a warning so that signed maps stay
+    # usable end to end.  A path that cannot be looked up or read (too
+    # long a name, a directory, no permission) is bad input too.
+    try:
+        if Path(arg).exists():
             ch = load_channel(arg, allow_non_cp=True)
-        except (ValueError, OSError) as exc:
-            raise InputError(str(exc)) from None
+        elif arg in FIXTURE_NAMES:
+            ch = fixture_channel(arg)
+        else:
+            raise InputError(f"no such channel file or built-in name: {arg}")
+    except (ValueError, OSError) as exc:
+        raise InputError(str(exc)) from None
     if not usable:
         return ch
     report = validate(ch)

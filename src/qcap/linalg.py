@@ -52,10 +52,10 @@ def _require_square(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
-def _require_hermitian(M: np.ndarray, name: str, atol: float = HERM_ATOL) -> np.ndarray:
+def _require_hermitian(M: np.ndarray, name: str) -> np.ndarray:
     M = _require_square(M, name)
     dev = np.abs(M - M.conj().T).max() if M.size else 0.0
-    if not (dev <= atol):
+    if not (dev <= HERM_ATOL):
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return M
 

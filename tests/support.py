@@ -238,3 +238,43 @@ def assert_same_runs(reference, shipped, tol, weight_tol):
         # by 2e-11 over 156 iterations).
         dev = np.abs(r.ensemble.states - s.ensemble.states).max(axis=(1, 2))
         assert (r.ensemble.weights * dev).max() <= weight_tol
+
+
+_HUGE = "1" + "0" * 399  # an integer literal no 64-bit type holds
+_IDENTITY_A = "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"
+
+
+def _kraus_file(kraus: str, name: str = '"x"') -> str:
+    return f'{{"name": {name}, "kind": "kraus", "kraus": {kraus}}}'
+
+
+def _affine_file(A: str = _IDENTITY_A, b: str = "[0, 0, 0]", name: str = '"x"') -> str:
+    return f'{{"name": {name}, "kind": "affine_qubit", "affine": {{"A": {A}, "b": {b}}}}}'
+
+
+# Malformed channel files, by case: the file's text and a fragment of the
+# one error that loading it must raise.
+MALFORMED_FILES = {
+    "kraus-huge-integer": (_kraus_file(f"[[[[{_HUGE}, 0], [0, 0]], [[0, 0], [1, 0]]]]"),
+                           "kraus must be"),
+    "kraus-2**64": (_kraus_file("[[[[18446744073709551616, 0], [0, 0]], [[0, 0], [1, 0]]]]"),
+                    "integers too large"),
+    "kraus-string": (_kraus_file('[[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]]'), "not JSON numbers"),
+    "kraus-ragged-rows": (_kraus_file("[[[[1, 0]], [[0, 0], [1, 0]]]]"), "ragged"),
+    "kraus-mixed-shapes": (_kraus_file("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]]"),
+                           "ragged"),
+    "kraus-triples": (_kraus_file("[[[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]]"),
+                      "3 numbers, not 2"),
+    "kraus-empty": (_kraus_file("[]"), "nest 1 deep, not 4"),
+    "kraus-empty-generator": (_kraus_file("[[]]"), "nest 2 deep, not 4"),
+    "kraus-zero-dimension": (_kraus_file("[[[]]]"), "nest 3 deep, not 4"),
+    "affine-huge-integer": (_affine_file(A=f"[[{_HUGE}, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+                            "A must be"),
+    "affine-numeric-string": (_affine_file(A='[["0.5", 0, 0], [0, 1, 0], [0, 0, 1]]'),
+                              "A must be"),
+    "affine-null": (_affine_file(b="[0, null, 0]"), "b must be"),
+    "affine-flat-matrix": (_affine_file(A="[1, 0, 0, 0, 1, 0, 0, 0, 1]"), "nest 1 deep, not 2"),
+    "name-nan": (_affine_file(name="NaN"), "name must be a string or null, got float"),
+    "name-object": (_affine_file(name='{"a": [1]}'), "name must be a string or null, got dict"),
+    "deeply-nested": (_kraus_file("[" * 100_000 + "]" * 100_000), "invalid JSON"),
+}

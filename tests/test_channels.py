@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,7 +27,8 @@ from qcap import (
 )
 from qcap.channels import PAULI_BASIS, _apply_batch, _dual_apply_batch, _pauli_operators
 from qcap.linalg import _herm_coords, _herm_operators, _pure_coords
-from support import PAULI_X, PAULI_Y, PAULI_Z, identity_channel, product, random_density
+from support import MALFORMED_FILES, PAULI_X, PAULI_Y, PAULI_Z, identity_channel, product
+from support import random_density
 from support import random_hermitian, random_hermitians, replacement_channel
 
 
@@ -429,6 +432,59 @@ class TestDescriptors:
             channel_from_dict(d)
         ch = channel_from_dict(d, allow_non_cp=True)
         assert np.any(ch.signs == -1.0)
+
+    def test_kraus_entries_decode_exactly(self):
+        # Each `[re, im]` pair is read as it stands, a -0.0 part included.
+        d = {"kind": "kraus", "kraus": [[[[-0.0, 1.0], [0.0, -0.0]], [[0.1, 2], [1, 0]]]]}
+        K = channel_from_dict(d).kraus
+        expected = np.array([[[complex(-0.0, 1.0), complex(0.0, -0.0)], [0.1 + 2j, 1]]])
+        assert K.tobytes() == expected.tobytes()
+        assert channel_to_dict(Channel(K))["kraus"] == d["kraus"]
+
+    @pytest.mark.parametrize("case", sorted(set(MALFORMED_FILES) - {"deeply-nested"}))
+    def test_rejects_malformed_descriptor(self, case):
+        text, message = MALFORMED_FILES[case]
+        with pytest.raises(ValueError, match=message):
+            channel_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_rejects_malformed_file(self, tmp_path, case):
+        text, message = MALFORMED_FILES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_channel(path)
+
+    def test_rejects_lists_nested_past_numpy(self):
+        # A parsed descriptor nested deeper than numpy's 64 dimensions.
+        deep = [1.0]
+        for _ in range(100):
+            deep = [deep]
+        with pytest.raises(ValueError, match="kraus must be .* nest too deep"):
+            channel_from_dict({"kind": "kraus", "kraus": deep})
+
+    def test_signed_channel_without_origin_has_no_descriptor(self):
+        prod = tensor(qcap.fixture_channel("gamma3"), qcap.fixture_channel("gamma1"))
+        with pytest.raises(ValueError, match="no descriptor form"):
+            channel_to_dict(prod)
+
+
+class TestConstructorChecks:
+    def test_affine_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match=r"A must be 3x3, got shape \(2, 2\)"):
+            AffineQubit(np.eye(2), np.zeros(3))
+        with pytest.raises(ValueError, match=r"b must be a 3-vector, got shape \(3, 1\)"):
+            AffineQubit(np.eye(3), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2), (0, 2, 2), (1, 0, 2), (1, 2, 0)])
+    def test_channel_rejects_stack_shape(self, shape):
+        with pytest.raises(ValueError, match="nonempty"):
+            Channel(np.zeros(shape))
+
+    @pytest.mark.parametrize("signs", [[1.0], [1.0, 1.0, 1.0], [1.0, 0.5], [1.0, np.nan]])
+    def test_channel_rejects_signs(self, signs):
+        with pytest.raises(ValueError, match="signs must be a"):
+            Channel(np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2), signs)
 
 
 class TestBlochHelpers:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qcap import multi_start, save_channel
-from support import replacement_channel
+from support import MALFORMED_FILES, replacement_channel
 
 ROOT = Path(__file__).resolve().parent.parent
 CHANNEL_DIR = ROOT / "channels"
@@ -441,6 +441,33 @@ def test_unusable_paths_exit_2(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error: ")
     assert bad[kind] in err
+
+
+@pytest.mark.parametrize("command", ["capacity", "validate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_channel_files_exit_2(tmp_path, capsys, command, case):
+    # Every malformed file is bad input: one `error:` line that names the
+    # fault, no report and no traceback.
+    from qcap import cli
+
+    text, message = MALFORMED_FILES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main([command, "--channel", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_unsearchable_channel_path_exits_2(capsys):
+    # A name too long for the file system cannot be looked up at all.
+    from qcap import cli
+
+    assert cli.main(["capacity", "--channel", "x" * 5000]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "too long" in err
 
 
 def test_non_trace_preserving_refused_before_cp_warning(monkeypatch, capsys):

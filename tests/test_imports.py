@@ -107,3 +107,73 @@ def test_dead_helper_scanner_flags_only_unreferenced_defs():
 
 def test_no_dead_private_helpers():
     assert unreferenced_private_defs([path.read_text() for path in PACKAGE]) == []
+
+
+def _passes(call: ast.Call, index: int | None, param: str) -> bool:
+    # Whether `call` passes the parameter at positional `index` (None for
+    # keyword-only) named `param`; `*args` and `**kwargs` pass any.
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def unpassed_private_defaults(sources: list[str]) -> list[str]:
+    """`function.parameter` of each defaulted parameter that no call passes.
+
+    Only module-level private functions are scanned.  A parameter counts
+    as passed when any call in `sources` of the function's name, bare or
+    as an attribute, passes it by position or by keyword.
+    """
+    trees = [ast.parse(source) for source in sources]
+    calls = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
+    unpassed = []
+    for tree in trees:
+        for node in tree.body:
+            if not (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [
+                (None, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            unpassed += [
+                f"{node.name}.{param}"
+                for index, param in defaulted
+                if not any(_passes(call, index, param) for call in calls[node.name])
+            ]
+    return unpassed
+
+
+def test_default_scanner_flags_only_unpassed_options():
+    sources = [
+        "def _f(x, by_position=1, by_keyword=2, *, kw_only=3, unpassed=4, required):\n"
+        "    pass\n"
+        "def public(flag=False):\n    pass\n"
+        "_f(0, 1, by_keyword=2, required=0)\n",
+        "import m\nm._f(0, kw_only=1, required=0)\n"
+        "def _star(a=1, b=2):\n    pass\n"
+        "_star(*values)\n"
+        "def _double_star(*, a=1):\n    pass\n"
+        "_double_star(**options)\n"
+        "def _never_called(a, b=2):\n    pass\n",
+    ]
+    assert unpassed_private_defaults(sources) == ["_f.unpassed", "_never_called.b"]
+
+
+def test_no_private_option_left_at_its_default():
+    assert unpassed_private_defaults([path.read_text() for path in PACKAGE]) == []

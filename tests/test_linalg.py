@@ -193,6 +193,12 @@ class TestPartialTrace:
         assert stacked.shape == single.shape == (2, 3, k, k)
         assert stacked.tobytes() == single.tobytes()
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            partial_trace(np.zeros((4, 2)), 2, 2, "first")
+        with pytest.raises(ValueError, match="square"):
+            partial_trace(np.zeros(4), 2, 2, "first")
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             partial_trace(np.eye(5), 2, 2, "first")
