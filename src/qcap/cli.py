@@ -7,8 +7,9 @@ descriptor checks).  Reports are JSON on stdout or in `--out`, traces
 are CSV.  Given identical inputs, flags and seed, every report is
 byte-identical.
 
-Exit codes: 0 success, 2 bad input (parse or validation failure),
-3 numerical failure, 4 non-convergence under `--strict`.
+Exit codes: 0 success, 2 bad input (parse or validation failure, or a
+channel or product over the size budget), 3 numerical failure, 4
+non-convergence under `--strict`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -30,11 +32,27 @@ from .solver import MAX_DECIMAL_PLACES, CapacityResult, SolverConfig, multi_star
 # Not called here, but bench/tracing.py wraps this binding, so it stays.
 from .channels import tp_residual  # noqa: F401
 
-MAX_PRODUCT_DIM = 16
-
 
 class InputError(ValueError):
     """Bad channel file, descriptor or flag combination."""
+
+
+def _require_budget(factors) -> None:
+    # Every command's size rule, checked before any validate, tensor or
+    # solve: the product of `factors` has input and output dimension at
+    # most 16 and at most 256 generators (no minimal list of that size
+    # needs more), each factor counted as at least two.  The count stops
+    # at the first factor over a limit, so no large power is formed.
+    dim_in = dim_out = gens = 1
+    for n, ch in enumerate(factors, 1):
+        dim_in, dim_out = dim_in * ch.dim_in, dim_out * ch.dim_out
+        gens *= max(ch.n_generators, 2)
+        if max(dim_in, dim_out) > 16:
+            raise InputError(
+                f"{n} factor(s), {dim_in} -> {dim_out}: over the dimension budget (16)"
+            )
+        if gens > 256:
+            raise InputError(f"{n} factor(s), {gens} generators: over the generator budget (256)")
 
 
 def _channel(arg: str, usable: bool = True) -> Channel:
@@ -52,6 +70,7 @@ def _channel(arg: str, usable: bool = True) -> Channel:
             raise InputError(f"no such channel file or built-in name: {arg}")
     except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from None
+    _require_budget([ch])
     if not usable:
         return ch
     report = validate(ch)
@@ -70,7 +89,9 @@ def _channel(arg: str, usable: bool = True) -> Channel:
 def _pair(args) -> tuple[Channel, Channel]:
     # A channel paired with itself (the paper's diagonal rows) is read and validated once.
     lhs = _channel(args.lhs)
-    return lhs, (lhs if args.rhs == args.lhs else _channel(args.rhs))
+    rhs = lhs if args.rhs == args.lhs else _channel(args.rhs)
+    _require_budget([lhs, rhs])
+    return lhs, rhs
 
 
 def _config(args) -> SolverConfig:
@@ -202,15 +223,16 @@ def cmd_capacity(args) -> int:
 
 def cmd_additivity(args) -> int:
     lhs, rhs = _pair(args)  # a self-pair is solved once too
+    prod = tensor(lhs, rhs)
     # --states and --starts size the product solve; the factors keep their defaults.
-    marginal = dataclasses.replace(_config(args), n_states=None, starts=None)
+    cfg = _config(args).resolved(prod)
+    marginal = dataclasses.replace(cfg, n_states=None, starts=None)
     r1 = multi_start(lhs, marginal)
     r2 = r1 if rhs is lhs else multi_start(rhs, marginal)
-    prod = tensor(lhs, rhs)
     dims = (lhs.dim_in, rhs.dim_in)
     # Only the trace reads the per-iteration entanglement; the report
     # takes it from the final ensemble alone.
-    rp = multi_start(prod, _config(args), ent_dims=dims if args.trace else None)
+    rp = multi_start(prod, cfg, ent_dims=dims if args.trace else None)
     report = _result_fields(rp)
     report.update(
         {
@@ -228,40 +250,17 @@ def cmd_additivity(args) -> int:
     return _strict_exit(args, r1, r2, rp)
 
 
-def _max_copies(base: int, budget: int) -> int:
-    # The most copies whose product keeps `base ** copies` (base >= 2)
-    # within `budget`, counted without forming a large power.
-    copies, size = 0, base
-    while size <= budget:
-        copies, size = copies + 1, size * base
-    return copies
-
-
 def cmd_regularized(args) -> int:
     ch = _channel(args.channel)
     if args.copies < 1:
         raise InputError("--copies must be at least 1")
-    dim = max(ch.dim_in, ch.dim_out)
-    if dim > 1 and args.copies > _max_copies(dim, MAX_PRODUCT_DIM):
-        raise InputError(
-            f"{args.copies} copies of a channel with dimension {dim} "
-            f"exceed the dimension budget ({MAX_PRODUCT_DIM})"
-        )
-    # The product's generators multiply even where its dimension does not
-    # grow (a 1 x 1 channel); MAX_PRODUCT_DIM ** 2 is the most a channel
-    # at the dimension budget needs.  Each copy counts as at least two
-    # generators, so a one-generator channel is bounded too.
-    gens = ch.n_generators
-    if args.copies > _max_copies(max(gens, 2), MAX_PRODUCT_DIM**2):
-        raise InputError(
-            f"{args.copies} copies of a channel with {gens} generators "
-            f"exceed the generator budget ({MAX_PRODUCT_DIM**2})"
-        )
+    _require_budget(itertools.repeat(ch, args.copies))
+    prod = functools.reduce(tensor, [ch] * args.copies)
+    cfg = _config(args).resolved(prod)
     if ch.dim_in**args.copies >= 8:
         print("note: this many copies is slow; expect a long solve", file=sys.stderr)
-    single = multi_start(ch, dataclasses.replace(_config(args), n_states=None, starts=None))
-    prod = functools.reduce(tensor, [ch] * args.copies)
-    res = multi_start(prod, _config(args))
+    single = multi_start(ch, dataclasses.replace(cfg, n_states=None, starts=None))
+    res = multi_start(prod, cfg)
     report = _result_fields(res)
     report.update(
         {

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcap import multi_start, save_channel
+from qcap import Channel, multi_start, save_channel
 from support import MALFORMED_FILES, replacement_channel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +41,21 @@ def write_identity_channel(path):
     }
     path.write_text(json.dumps(d))
     return path
+
+
+def write_scaled_identity(path, dim, n_generators=1):
+    # `n_generators` copies of I / sqrt(n_generators): a unital, trace
+    # preserving map of any size, quick to write and to read.
+    kraus = np.stack([np.eye(dim) / np.sqrt(n_generators)] * n_generators)
+    save_channel(Channel(kraus, name=f"id{dim}"), path)
+    return str(path)
+
+
+def refuse(name):
+    def fail(*args, **kwargs):
+        pytest.fail(f"{name} called")
+
+    return fail
 
 
 class TestCapacity:
@@ -286,12 +301,19 @@ class TestRegularized:
         # One generator never multiplies, so each copy counts as two.
         from qcap import cli
 
-        assert cli._max_copies(4, 256) == 4
+        with monkeypatch.context() as m:
+            m.setattr(cli, "multi_start", refuse("multi_start"))
+            # gamma1's four copies pass the budget and meet the flag check.
+            argv = ["regularized", "--channel", "gamma1", "--states", "0", "--copies"]
+            assert cli.main([*argv, "4"]) == 2
+            assert "n_states" in capsys.readouterr().err
+            assert cli.main([*argv, "5"]) == 2
+            assert "dimension budget (16)" in capsys.readouterr().err
         path = tmp_path / "scalar.json"
         for kraus in ([[[[0.6, 0.0]]], [[[0.8, 0.0]]]], [[[[1.0, 0.0]]]]):
             path.write_text(json.dumps({"name": "scalar", "kind": "kraus", "kraus": kraus}))
             with monkeypatch.context() as m:
-                m.setattr(cli, "tensor", lambda *args: pytest.fail("tensor called"))
+                m.setattr(cli, "tensor", refuse("tensor"))
                 for copies in ("9", "40", "100000"):
                     assert cli.main(["regularized", "--channel", str(path), "--copies", copies]) == 2
                     assert "generator budget (256)" in capsys.readouterr().err
@@ -398,6 +420,58 @@ class TestValidate:
         proc = qcap_cmd("validate", "--channel", str(path))
         assert proc.returncode == 2
         assert "JSON" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["additivity", "--lhs", "gamma5", "--rhs", "gamma6", "--states", "0"],
+        ["additivity", "--lhs", "gamma5", "--rhs", "gamma6", "--starts", "0"],
+        ["regularized", "--channel", "gamma1", "--copies", "4", "--states", "0"],
+        ["regularized", "--channel", "gamma1", "--copies", "4", "--starts", "0"],
+    ],
+    ids=["additivity-states", "additivity-starts", "regularized-states", "regularized-starts"],
+)
+def test_product_flags_checked_before_any_solve(monkeypatch, capsys, argv):
+    # --states and --starts size the product solve, but a bad value is
+    # refused before the marginal solves too.
+    from qcap import cli
+
+    solved = []
+    monkeypatch.setattr(cli, "multi_start", lambda ch, *args, **kwargs: solved.append(ch))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, solved) == ("", [])
+    assert err == "error: n_states, starts and max_iters must be positive\n"
+
+
+BUDGET_CASES = {
+    # name: (command, argument flags, file dimension, generators, message)
+    "capacity-d17": ("capacity", ["--channel"], 17, 1, "dimension budget (16)"),
+    "validate-d17": ("validate", ["--channel"], 17, 1, "dimension budget (16)"),
+    "capacity-257-generators": ("capacity", ["--channel"], 2, 257, "generator budget (256)"),
+    "additivity-d5-pair": ("additivity", ["--lhs", "--rhs"], 5, 2, "dimension budget (16)"),
+    "trace-d5-pair": ("trace", ["--lhs", "--rhs"], 5, 2, "dimension budget (16)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_every_command_keeps_the_size_budget(tmp_path, monkeypatch, capsys, case):
+    # A channel or a product over the budget is refused before anything is
+    # tensored or solved, and a lone channel before it is validated.
+    from qcap import cli
+
+    command, flags, dim, gens, message = BUDGET_CASES[case]
+    path = write_scaled_identity(tmp_path / "big.json", dim, gens)
+    if len(flags) == 1:
+        monkeypatch.setattr(cli, "validate", refuse("validate"))
+    monkeypatch.setattr(cli, "tensor", refuse("tensor"))
+    monkeypatch.setattr(cli, "multi_start", refuse("multi_start"))
+    assert cli.main([command, *[arg for flag in flags for arg in (flag, path)]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 NON_FINITE_FILES = {

@@ -1,5 +1,6 @@
 """No module of the package or of its tests imports a name it never uses,
-and no private helper of the package is left without a caller.
+no private helper of the package is left without a caller, and no
+module constant of the package is left unnamed.
 
 No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
@@ -8,6 +9,7 @@ benchmark's tracer to wrap; both count as used.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -177,3 +179,58 @@ def test_default_scanner_flags_only_unpassed_options():
 
 def test_no_private_option_left_at_its_default():
     assert unpassed_private_defaults([path.read_text() for path in PACKAGE]) == []
+
+
+def unnamed_constants(package: list[str], others: list[str]) -> list[str]:
+    """Module-level UPPER_CASE constants of `package` that no source names.
+
+    A constant counts as named when an `ast.Name`, `ast.Attribute` or
+    imported name of it appears in any of `package` or `others` outside
+    the assignment that defines it.
+    """
+    trees = [ast.parse(source) for source in [*package, *others]]
+    refs = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append(node)
+            elif isinstance(node, ast.alias):
+                refs[node.name].append(node)
+    unnamed = []
+    for tree in trees[: len(package)]:
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            unnamed += [
+                target.id
+                for target in targets
+                if isinstance(target, ast.Name)
+                and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+                and all(id(ref) in own for ref in refs[target.id])
+            ]
+    return unnamed
+
+
+def test_constant_scanner_flags_only_unnamed_constants():
+    package = [
+        "LIMIT = 16\n_PRIVATE = 2\nTYPED: int = 3\nUNUSED = 4\n_SELF = _SELF_BASE = 5\n"
+        "__all__ = ['x']\nlower = 6\n"
+        "def f():\n    return _PRIVATE  # UNUSED is named in a comment only\n",
+        "from .a import LIMIT\nimport m\nm.TYPED\nLIMIT\n",
+    ]
+    others = ["'UNUSED'\n"]
+    assert unnamed_constants(package, others) == ["UNUSED", "_SELF", "_SELF_BASE"]
+
+
+def test_no_unnamed_module_constants():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert unnamed_constants(
+        [path.read_text() for path in PACKAGE], [path.read_text() for path in tests]
+    ) == []
