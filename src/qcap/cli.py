@@ -7,9 +7,12 @@ descriptor checks).  Reports are JSON on stdout or in `--out`, traces
 are CSV.  Given identical inputs, flags and seed, every report is
 byte-identical.
 
-Exit codes: 0 success, 2 bad input (parse or validation failure, or a
-channel or product over the size budget), 3 numerical failure, 4
-non-convergence under `--strict`.
+Exit codes:
+- 0 success;
+- 2 bad input: a parse or validation failure, a channel, product or start
+  stack over the size budget, or a report or trace that cannot be written;
+- 3 numerical failure;
+- 4 non-convergence under `--strict`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,49 +37,40 @@ from .solver import MAX_DECIMAL_PLACES, CapacityResult, SolverConfig, multi_star
 from .channels import tp_residual  # noqa: F401
 
 
-class InputError(ValueError):
-    """Bad channel file, descriptor or flag combination."""
-
-
 def _require_budget(factors) -> None:
     # Every command's size rule, checked before any validate, tensor or
-    # solve: the product of `factors` has input and output dimension at
-    # most 16 and at most 256 generators (no minimal list of that size
-    # needs more), each factor counted as at least two.  The count stops
+    # solve: the product of `factors` has dimensions at most 16 and at most
+    # 256 generators, each factor counted as at least two.  The count stops
     # at the first factor over a limit, so no large power is formed.
     dim_in = dim_out = gens = 1
     for n, ch in enumerate(factors, 1):
         dim_in, dim_out = dim_in * ch.dim_in, dim_out * ch.dim_out
         gens *= max(ch.n_generators, 2)
         if max(dim_in, dim_out) > 16:
-            raise InputError(
+            raise ValueError(
                 f"{n} factor(s), {dim_in} -> {dim_out}: over the dimension budget (16)"
             )
         if gens > 256:
-            raise InputError(f"{n} factor(s), {gens} generators: over the generator budget (256)")
+            raise ValueError(f"{n} factor(s), {gens} generators: over the generator budget (256)")
 
 
 def _channel(arg: str, usable: bool = True) -> Channel:
     # Accept a descriptor path or, where no such path exists, a built-in
     # name like "gamma2".  A usable channel must be trace preserving; a
     # non-PSD Choi operator only draws a warning so that signed maps stay
-    # usable end to end.  A path that cannot be looked up or read (too
-    # long a name, a directory, no permission) is bad input too.
-    try:
-        if Path(arg).exists():
-            ch = load_channel(arg, allow_non_cp=True)
-        elif arg in FIXTURE_NAMES:
-            ch = fixture_channel(arg)
-        else:
-            raise InputError(f"no such channel file or built-in name: {arg}")
-    except (ValueError, OSError) as exc:
-        raise InputError(str(exc)) from None
+    # usable end to end.
+    if Path(arg).exists():
+        ch = load_channel(arg, allow_non_cp=True)
+    elif arg in FIXTURE_NAMES:
+        ch = fixture_channel(arg)
+    else:
+        raise ValueError(f"no such channel file or built-in name: {arg}")
     _require_budget([ch])
     if not usable:
         return ch
     report = validate(ch)
     if not report.tp_ok:
-        raise InputError(f"{arg}: not trace preserving (residual {report.tp_residual:.3e})")
+        raise ValueError(f"{arg}: not trace preserving (residual {report.tp_residual:.3e})")
     if not report.cp_ok:
         print(
             f"warning: {arg}: not completely positive "
@@ -86,25 +81,31 @@ def _channel(arg: str, usable: bool = True) -> Channel:
     return ch
 
 
-def _pair(args) -> tuple[Channel, Channel]:
-    # A channel paired with itself (the paper's diagonal rows) is read and validated once.
+def _pair(args) -> tuple[Channel, Channel, Channel]:
+    # A self-pair (the paper's diagonal rows) is read and validated once.
     lhs = _channel(args.lhs)
     rhs = lhs if args.rhs == args.lhs else _channel(args.rhs)
     _require_budget([lhs, rhs])
-    return lhs, rhs
+    return lhs, rhs, tensor(lhs, rhs)
 
 
-def _config(args) -> SolverConfig:
+def _config(args, ch: Channel) -> SolverConfig:
+    # Resolved for `ch`; the start rule bounds its (s, n, d, d) stacks.
     if not 1 <= args.places <= MAX_DECIMAL_PLACES:
-        raise InputError(f"--places must be from 1 to {MAX_DECIMAL_PLACES}, got {args.places}")
-    return SolverConfig(
+        raise ValueError(f"--places must be from 1 to {MAX_DECIMAL_PLACES}, got {args.places}")
+    cfg = SolverConfig(
         n_states=args.states,
         starts=args.starts,
         seed=args.seed,
         decimal_places=args.places,
         patience=args.patience,
         max_iters=args.max_iters,
-    )
+    ).resolved(ch)
+    d = max(ch.dim_in, ch.dim_out)
+    if cfg.starts * cfg.n_states * d * d > 2**22:
+        raise ValueError(f"{cfg.starts} start(s) of {cfg.n_states} {d}x{d} state(s): "
+                         f"over the start budget ({2**22} entries)")
+    return cfg
 
 
 def _result_fields(res: CapacityResult) -> dict:
@@ -179,18 +180,15 @@ def _report_pieces(report: dict):
 
 def _emit(report: dict | str, out: str | None) -> None:
     # JSON reports and CSV traces share one stdout-or-file path.  A report
-    # is written in pieces and never held whole.  A path that cannot be
-    # written (a directory, a missing parent, no permission) is bad input,
-    # not a crash.
+    # is written in pieces, never held whole, and flushed: a failed write
+    # raises in `main`.
     pieces = [report] if isinstance(report, str) else _report_pieces(report)
     if not out:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
         return
-    try:
-        with open(out, "w") as f:
-            f.writelines(pieces)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+    with open(out, "w") as f:
+        f.writelines(pieces)
 
 
 def _trace_rows(res: CapacityResult) -> str:
@@ -213,7 +211,7 @@ def _strict_exit(args, *results: CapacityResult) -> int:
 
 def cmd_capacity(args) -> int:
     ch = _channel(args.channel)
-    res = multi_start(ch, _config(args))
+    res = multi_start(ch, _config(args, ch))
     report = _result_fields(res)
     if args.trace:
         _emit(_trace_rows(res), args.trace)
@@ -222,10 +220,9 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_additivity(args) -> int:
-    lhs, rhs = _pair(args)  # a self-pair is solved once too
-    prod = tensor(lhs, rhs)
+    lhs, rhs, prod = _pair(args)  # a self-pair is solved once too
     # --states and --starts size the product solve; the factors keep their defaults.
-    cfg = _config(args).resolved(prod)
+    cfg = _config(args, prod)
     marginal = dataclasses.replace(cfg, n_states=None, starts=None)
     r1 = multi_start(lhs, marginal)
     r2 = r1 if rhs is lhs else multi_start(rhs, marginal)
@@ -235,14 +232,12 @@ def cmd_additivity(args) -> int:
     rp = multi_start(prod, cfg, ent_dims=dims if args.trace else None)
     report = _result_fields(rp)
     report.update(
-        {
-            "c1": r1.capacity,
-            "c2": r2.capacity,
-            "sum": r1.capacity + r2.capacity,
-            "c_product": rp.capacity,
-            "gap": rp.capacity - (r1.capacity + r2.capacity),
-            "product_ensemble_entanglement": entanglement(rp.ensemble, *dims),
-        }
+        c1=r1.capacity,
+        c2=r2.capacity,
+        sum=r1.capacity + r2.capacity,
+        c_product=rp.capacity,
+        gap=rp.capacity - (r1.capacity + r2.capacity),
+        product_ensemble_entanglement=entanglement(rp.ensemble, *dims),
     )
     if args.trace:
         _emit(_trace_rows(rp), args.trace)
@@ -253,31 +248,28 @@ def cmd_additivity(args) -> int:
 def cmd_regularized(args) -> int:
     ch = _channel(args.channel)
     if args.copies < 1:
-        raise InputError("--copies must be at least 1")
+        raise ValueError("--copies must be at least 1")
     _require_budget(itertools.repeat(ch, args.copies))
     prod = functools.reduce(tensor, [ch] * args.copies)
-    cfg = _config(args).resolved(prod)
+    cfg = _config(args, prod)
     if ch.dim_in**args.copies >= 8:
         print("note: this many copies is slow; expect a long solve", file=sys.stderr)
     single = multi_start(ch, dataclasses.replace(cfg, n_states=None, starts=None))
     res = multi_start(prod, cfg)
     report = _result_fields(res)
     report.update(
-        {
-            "copies": args.copies,
-            "per_copy_capacity_nats": res.capacity / args.copies,
-            "single_copy_capacity_nats": single.capacity,
-        }
+        copies=args.copies,
+        per_copy_capacity_nats=res.capacity / args.copies,
+        single_copy_capacity_nats=single.capacity,
     )
     _emit(report, args.out)
     return _strict_exit(args, single, res)
 
 
 def cmd_trace(args) -> int:
-    lhs, rhs = _pair(args)
-    prod = tensor(lhs, rhs)
+    lhs, rhs, prod = _pair(args)
     # Start 0 alone; `--starts` is checked but not used.
-    cfg = dataclasses.replace(_config(args).resolved(prod), starts=1)
+    cfg = dataclasses.replace(_config(args, prod), starts=1)
     res = multi_start(prod, cfg, ent_dims=(lhs.dim_in, rhs.dim_in))
     _emit(_trace_rows(res), args.out)
     return _strict_exit(args, res)
@@ -292,9 +284,9 @@ def cmd_validate(args) -> int:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     defaults = SolverConfig()
-    p.add_argument("--states", type=int, default=None,
+    p.add_argument("--states", type=int,
                    help="ensemble size (default: input dimension squared)")
-    p.add_argument("--starts", type=int, default=None,
+    p.add_argument("--starts", type=int,
                    help="number of restarts (default: 5, or 3 for dimension >= 9)")
     p.add_argument("--seed", type=int, default=defaults.seed, help="seed for the random starts")
     p.add_argument("--places", type=int, default=defaults.decimal_places,
@@ -304,7 +296,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="successive agreeing values required for convergence")
     p.add_argument("--max-iters", type=int, default=defaults.max_iters,
                    help="iteration cap per start")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--strict", action="store_true",
                    help="exit with code 4 if any run fails to converge")
 
@@ -321,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="capacity of a single channel")
     p.add_argument("--channel", required=True, help="descriptor file or built-in name")
     _add_solver_flags(p)
-    p.add_argument("--trace", default=None, help="write a per-iteration CSV here")
+    p.add_argument("--trace", help="write a per-iteration CSV here")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("additivity", help="compare C(A) + C(B) with C(A (x) B)")
     p.add_argument("--lhs", required=True, help="first channel (file or name)")
     p.add_argument("--rhs", required=True, help="second channel (file or name)")
     _add_solver_flags(p)
-    p.add_argument("--trace", default=None, help="write the product run's CSV trace here")
+    p.add_argument("--trace", help="write the product run's CSV trace here")
     p.set_defaults(func=cmd_additivity)
 
     p = sub.add_parser("regularized", help="per-copy capacity of N channel copies")
@@ -345,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a channel descriptor")
     p.add_argument("--channel", required=True, help="descriptor file or built-in name")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_validate)
 
     return parser
@@ -359,8 +351,12 @@ def main(argv=None) -> int:
         # Before ValueError, which LinAlgError subclasses.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
+        # Bad input, not a crash, as is a path or stream that cannot be looked up,
+        # read or written; the null device takes what a failed stdout write left.
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and exc.filename is None and sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line tests via subprocess."""
 
+import errno
 import json
 import os
 import subprocess
@@ -474,6 +475,52 @@ def test_every_command_keeps_the_size_budget(tmp_path, monkeypatch, capsys, case
     assert message in err
 
 
+START_BUDGET_COMMANDS = {
+    "capacity": ["capacity", "--channel", "gamma1"],
+    "additivity": ["additivity", "--lhs", "gamma1", "--rhs", "gamma1"],
+    "regularized": ["regularized", "--channel", "gamma1", "--copies", "2"],
+    "trace": ["trace", "--lhs", "gamma1", "--rhs", "gamma1"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--states", "--starts"])
+@pytest.mark.parametrize("command", sorted(START_BUDGET_COMMANDS))
+def test_start_stack_over_budget_exits_2(monkeypatch, capsys, command, flag):
+    # 10**13 states or starts would need petabytes; the stack is refused
+    # before any solve, and `trace` checks the --starts it does not use.
+    from qcap import cli
+
+    monkeypatch.setattr(cli, "multi_start", refuse("multi_start"))
+    assert cli.main([*START_BUDGET_COMMANDS[command], flag, str(10**13)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "start budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, states",
+    [(["capacity", "--channel", "gamma1"], 2**20),
+     (["regularized", "--channel", "gamma1", "--copies", "4"], 2**14)],
+    ids=["qubit", "d16"],
+)
+def test_start_budget_is_inclusive(monkeypatch, capsys, argv, states):
+    # starts x states x d^2 = 2**22 is solved; one more state is refused.
+    from qcap import cli
+
+    class Solved(Exception):
+        pass
+
+    def solve(ch, cfg, **kwargs):
+        raise Solved
+
+    monkeypatch.setattr(cli, "multi_start", solve)
+    with pytest.raises(Solved):
+        cli.main([*argv, "--starts", "1", "--states", str(states)])
+    assert cli.main([*argv, "--starts", "1", "--states", str(states + 1)]) == 2
+    assert "start budget" in capsys.readouterr().err
+
+
 NON_FINITE_FILES = {
     "kraus": '{"kind": "kraus", "kraus": [[[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}',
     "affine": '{"kind": "affine_qubit", "affine": '
@@ -515,6 +562,56 @@ def test_unusable_paths_exit_2(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error: ")
     assert bad[kind] in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OSError(errno.ENOSPC, "No space left on device"),
+     BrokenPipeError(errno.EPIPE, "Broken pipe")],
+    ids=["full", "closed-pipe"],
+)
+def test_unwritable_stdout_exits_2(monkeypatch, capsys, exc):
+    # A report that cannot be written to stdout is bad input, as an
+    # unwritable --out is.
+    from qcap import cli
+
+    class Stdout:
+        def writelines(self, pieces):
+            raise exc
+
+    monkeypatch.setattr(cli.sys, "stdout", Stdout())
+    assert cli.main(["capacity", "--channel", "gamma1"]) == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+def test_unwritable_stdout_leaves_no_traceback(sink, unbuffered):
+    # End to end, with nothing more printed as the interpreter shuts down,
+    # whether or not stdout is buffered.  The 2 KB `capacity` report fails
+    # on the flush in `_emit`; the 4-copy `regularized` report, larger than
+    # the stdout buffer, fails inside `writelines` and leaves bytes behind.
+    if sink == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        argv = ["capacity", "--channel", "gamma1"]
+        message = "error: [Errno 28] No space left on device\n"
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        argv = ["regularized", "--channel", "gamma1", "--copies", "4", "--starts", "1"]
+        message = ("note: this many copies is slow; expect a long solve\n"
+                   "error: [Errno 32] Broken pipe\n")
+    env = {**child_env(), "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcap.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300, env=env,
+        )
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (2, message)
 
 
 @pytest.mark.parametrize("command", ["capacity", "validate"])

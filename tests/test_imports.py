@@ -1,6 +1,7 @@
 """No module of the package or of its tests imports a name it never uses,
-no private helper of the package is left without a caller, and no
-module constant of the package is left unnamed.
+no private helper of the package is left without a caller, no
+module constant of the package is left unnamed, and no code of the
+command line module but its `main` catches an exception.
 
 No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
@@ -234,3 +235,35 @@ def test_no_unnamed_module_constants():
     assert unnamed_constants(
         [path.read_text() for path in PACKAGE], [path.read_text() for path in tests]
     ) == []
+
+
+def tries_outside(source: str, function: str) -> list[int]:
+    """Line of every `try` statement not inside a `def` named `function`."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            inside.update(id(inner) for inner in ast.walk(node))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        # `try`/`except*` parses to `ast.TryStar`, new in Python 3.11.
+        if isinstance(node, (ast.Try, getattr(ast, "TryStar", ast.Try))) and id(node) not in inside
+    )
+
+
+def test_try_scanner_flags_only_tries_outside_the_function():
+    source = (
+        "def main():\n"
+        "    try:\n        pass\n    except ValueError:\n        pass\n"
+        "def helper():\n"
+        "    try:\n        pass\n    finally:\n        pass\n"
+        "try:\n    pass\nexcept OSError:\n    pass\n"
+    )
+    assert tries_outside(source, "main") == [7, 11]
+
+
+def test_only_cli_main_maps_exceptions():
+    # `cli.main` alone turns an exception into an exit code, so no helper
+    # may catch and re-raise what `main` already maps.
+    assert tries_outside((ROOT / "src" / "qcap" / "cli.py").read_text(), "main") == []
