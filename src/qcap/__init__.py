@@ -34,7 +34,7 @@ from .entropy import (
     phi_operator,
     rel_entropy,
 )
-from .fixtures import FIXTURE_NAMES, fixture_channel, fixture_descriptor
+from .fixtures import FIXTURE_NAMES, fixture_channel
 from .linalg import (
     EigenDecomposition,
     herm_eig,
@@ -86,7 +86,6 @@ __all__ = [
     "dual_apply",
     "entanglement",
     "fixture_channel",
-    "fixture_descriptor",
     "herm_eig",
     "hermitize",
     "initial_ensemble",

@@ -24,9 +24,8 @@ form of the map in the Pauli basis.  A channel's arrays are read-only,
 which keeps the cached matrices in step with the generators.
 
 This module owns the qubit Pauli convention: `PAULI_BASIS` and its
-batched conversions `_pauli_coords`, `_pauli_operators` and
-`_bloch_states` serve the affine maps, the Bloch helpers and the
-solver's Pauli-basis step alike.
+batched conversions `_pauli_coords` and `_pauli_operators` serve the
+affine maps, the Bloch helpers and the solver's Pauli-basis step alike.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ def _pauli_coords(X: np.ndarray) -> np.ndarray:
 def _pauli_operators(x: np.ndarray) -> np.ndarray:
     # The (..., 2, 2) operators `x . s / 2` of a (..., 4) coordinate stack.
     return (x @ PAULI_BASIS / 2).reshape(*x.shape[:-1], 2, 2)
-
-
-def _bloch_states(theta: np.ndarray) -> np.ndarray:
-    # The (..., 2, 2) states `(I + theta . s) / 2` of a (..., 3) Bloch stack.
-    return _pauli_operators(np.concatenate([np.ones((*theta.shape[:-1], 1)), theta], axis=-1))
 
 
 class CompletePositivityError(ValueError):
@@ -139,13 +133,6 @@ class Channel:
     @property
     def n_generators(self) -> int:
         return self.kraus.shape[0]
-
-    @property
-    def generators(self) -> list[np.ndarray]:
-        return list(self.kraus)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply(self, rho)
 
     @cached_property
     def _transfer(self) -> np.ndarray:
@@ -317,11 +304,18 @@ def validate(ch: Channel) -> ValidationReport:
 
     For channels carrying affine-qubit origin data the Choi verdict is
     cross-checked against the closed-form 4x4 criterion and the report
-    records whether the two agree.
+    records whether the two agree.  Raises ValueError when the generators
+    are too large for either check to be finite (entries from about
+    1e154 up).
     """
-    resid = tp_residual(ch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = tp_residual(ch)
+        C = choi(ch)
+    if not (np.isfinite(resid) and np.isfinite(C).all()):
+        raise ValueError("kraus entries overflow float64 in the trace-preservation sum "
+                         "or the Choi operator")
     tp_ok = resid <= TP_ATOL
-    w, _ = herm_eig(choi(ch))
+    w, _ = herm_eig(C)
     cmin = float(w[-1])
     cp_ok = cmin >= -PSD_ATOL
     amin = None
@@ -339,7 +333,7 @@ def bloch_state(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {theta.shape}")
-    return _bloch_states(theta)
+    return _pauli_operators(np.concatenate([[1.0], theta]))
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:

@@ -54,11 +54,9 @@ def _require_budget(factors) -> None:
             raise ValueError(f"{n} factor(s), {gens} generators: over the generator budget (256)")
 
 
-def _channel(arg: str, usable: bool = True) -> Channel:
-    # Accept a descriptor path or, where no such path exists, a built-in
-    # name like "gamma2".  A usable channel must be trace preserving; a
-    # non-PSD Choi operator only draws a warning so that signed maps stay
-    # usable end to end.
+def _lookup(arg: str) -> Channel:
+    # A descriptor path or, where no such path exists, a built-in name
+    # like "gamma2", within the size budget.
     if Path(arg).exists():
         ch = load_channel(arg, allow_non_cp=True)
     elif arg in FIXTURE_NAMES:
@@ -66,8 +64,13 @@ def _channel(arg: str, usable: bool = True) -> Channel:
     else:
         raise ValueError(f"no such channel file or built-in name: {arg}")
     _require_budget([ch])
-    if not usable:
-        return ch
+    return ch
+
+
+def _channel(arg: str) -> Channel:
+    # A channel to solve must be trace preserving; a non-PSD Choi operator
+    # only draws a warning so that signed maps stay usable end to end.
+    ch = _lookup(arg)
     report = validate(ch)
     if not report.tp_ok:
         raise ValueError(f"{arg}: not trace preserving (residual {report.tp_residual:.3e})")
@@ -160,22 +163,24 @@ def _report_pieces(report: dict):
     wire = np.ascontiguousarray(states, dtype=complex).view(np.float64).reshape(len(states), -1)
     marked = {**report, "ensemble": {**report["ensemble"], "states": _STATES_MARK}}
     head, tail = json.dumps(marked, indent=2, sort_keys=True).split(json.dumps(_STATES_MARK))
-    # "states" sits in "ensemble" in the report: two indents deep.
-    frame = _array_template((len(states),), 2).split("{}")
+    # "states" sits in "ensemble" in the report, two indents deep, and
+    # holds at least one state: an ensemble's weights sum to 1.
+    pad = "\n" + "  " * 3
     template = _array_template((*states.shape[1:], 2), 3)
     keys = [row.tobytes() for row in wire]
     last = {key: i for i, key in enumerate(keys)}
     blocks: dict[bytes, str] = {}
-    yield head + frame[0]
+    yield head + "[" + pad
     for i, key in enumerate(keys):
         block = blocks.pop(key, None)
         if block is None:
             block = template.format(*wire[i].tolist())
         if last[key] > i:
             blocks[key] = block
+        if i:
+            yield "," + pad
         yield block
-        yield frame[i + 1]
-    yield tail + "\n"
+    yield "\n" + "  " * 2 + "]" + tail + "\n"
 
 
 def _emit(report: dict | str, out: str | None) -> None:
@@ -276,7 +281,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    ch = _channel(args.channel, usable=False)
+    ch = _lookup(args.channel)
     report = validate(ch)
     _emit({"name": ch.name, **dataclasses.asdict(report)}, args.out)
     return 0 if report.passed else 2

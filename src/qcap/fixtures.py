@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import AffineQubit, Channel, affine_to_channel, channel_to_dict
+from .channels import AffineQubit, Channel, affine_to_channel
 from .linalg import herm_eig
 
 
@@ -103,8 +103,3 @@ def fixture_channel(name: str) -> Channel:
         return _BUILDERS[name]()
     except KeyError:
         raise ValueError(f"unknown channel {name!r}; known: {', '.join(FIXTURE_NAMES)}") from None
-
-
-def fixture_descriptor(name: str) -> dict:
-    """JSON descriptor of a built-in channel, as written to the data files."""
-    return channel_to_dict(fixture_channel(name))

@@ -301,6 +301,19 @@ class TestValidate:
         assert report.tp_residual == pytest.approx(1.0, abs=1e-12)
         assert not report.passed
 
+    @pytest.mark.parametrize("column", [[1e200, 0], [1e154, 1e154]], ids=["all-sums", "tp-sum"])
+    def test_overflowing_generators_raise(self, column):
+        # 2 (1e154)^2 overflows the trace-preservation sum alone, not the
+        # Choi operator.  No numpy warning may escape on the way.
+        ch = Channel(np.array([[[column[0], 0], [column[1], 0]]], dtype=complex))
+        with pytest.raises(ValueError, match="overflow"):
+            validate(ch)
+
+    def test_large_finite_generators_give_a_finite_report(self):
+        report = validate(Channel(np.array([[[1e153, 0], [0, 0]]], dtype=complex)))
+        assert report.tp_residual == pytest.approx(1e306)
+        assert not report.passed
+
 
 class TestTensor:
     def test_identity_pair(self, rng):

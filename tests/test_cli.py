@@ -19,9 +19,11 @@ CHANNEL_DIR = ROOT / "channels"
 
 def child_env():
     # The child imports `qcap` from this checkout's `src`, ahead of any
-    # other `qcap` on the path, with or without an install.
+    # other `qcap` on the path, with or without an install.  A warning in
+    # the child is an error, as it is in process.
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+            "PYTHONWARNINGS": "error"}
 
 
 def qcap_cmd(*args, timeout=300):
@@ -535,6 +537,32 @@ def test_non_finite_channel_data_exits_2(tmp_path, kind):
     proc = qcap_cmd("capacity", "--channel", str(path))
     assert proc.returncode == 2
     assert "finite" in proc.stderr
+
+
+# Finite Kraus data whose products overflow float64: every sum, or the
+# trace-preservation sum alone.
+OVERFLOW_KRAUS = {
+    "all-sums": "[[[[1e200, 0], [0, 0]], [[0, 0], [0, 0]]]]",
+    "tp-sum": "[[[[1e154, 0], [0, 0]], [[1e154, 0], [0, 0]]]]",
+}
+
+
+@pytest.mark.parametrize("command", ["capacity", "validate", "additivity"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_KRAUS))
+def test_overflowing_kraus_data_exits_2(tmp_path, capsys, command, case):
+    # Refused by `validate`, which every command reaches before any tensor
+    # or solve: one `error:` line, no report and no numpy warning.
+    from qcap import cli
+
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"name": "big", "kind": "kraus", "kraus": {OVERFLOW_KRAUS[case]}}}')
+    if command == "additivity":
+        argv = [command, "--lhs", "gamma1", "--rhs", str(path)]
+    else:
+        argv = [command, "--channel", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: kraus entries overflow float64 in the "
+                                       "trace-preservation sum or the Choi operator\n")
 
 
 @pytest.mark.parametrize(

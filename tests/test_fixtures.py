@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcap
-from qcap import FIXTURE_NAMES, fixture_channel, fixture_descriptor
+from qcap import FIXTURE_NAMES, channel_to_dict, fixture_channel
 from qcap.channels import apply, bloch_state, bloch_vector, tp_residual, validate
 
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -63,7 +63,7 @@ def test_qutrit_completion_generator(name):
     # V3 completes sum V^dag V = I exactly.
     ch = fixture_channel(name)
     assert ch.n_generators == 3
-    total = sum(V.conj().T @ V for V in ch.generators)
+    total = sum(V.conj().T @ V for V in ch.kraus)
     assert_allclose(total, np.eye(3), atol=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_generator_count_within_bound(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_descriptor_files_match_registry(name):
     on_disk = json.loads((CHANNEL_DIR / f"{name}.json").read_text())
-    assert on_disk == fixture_descriptor(name)
+    assert on_disk == channel_to_dict(fixture_channel(name))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -105,6 +105,24 @@ def test_four_copy_report(tmp_path, monkeypatch, capsys):
     assert np.shape(report["ensemble"]["states"]) == (256, 16, 16, 2)
 
 
+def test_only_the_state_template_is_built(monkeypatch, capsys):
+    # The list around the states is written from constants, so the
+    # template calls at the report's own levels (its recursion goes
+    # deeper) are the one state template, not a frame per component.
+    calls = []
+    real_template = cli._array_template
+
+    def spy(shape, level):
+        calls.append((shape, level))
+        return real_template(shape, level)
+
+    monkeypatch.setattr(cli, "_array_template", spy)
+    argv = ["regularized", "--channel", "gamma1", "--copies", "4", "--starts", "1"]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["ensemble"]["states"]) == 256
+    assert [call for call in calls if call[1] <= 3] == [((16, 16, 2), 3)]
+
+
 def synthetic_report(states) -> dict:
     states = np.asarray(states, dtype=complex)
     n = len(states)
