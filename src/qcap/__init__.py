@@ -9,7 +9,6 @@ capacities of `tensor` products against sums of the parts.
 from .channels import (
     AffineQubit,
     Channel,
-    CompletePositivityError,
     ValidationReport,
     affine_cp_matrix,
     affine_to_channel,
@@ -64,7 +63,6 @@ __all__ = [
     "AffineQubit",
     "CapacityResult",
     "Channel",
-    "CompletePositivityError",
     "EigenDecomposition",
     "Ensemble",
     "FIXTURE_NAMES",

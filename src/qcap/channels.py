@@ -6,7 +6,10 @@ A channel is stored as a stack of generators `V_k` together with signs
 form exists so that trace-preserving maps whose Choi operator has a
 negative eigenvalue can still be applied, tensored and fed to the
 capacity solver.  Qubit channels may alternatively be specified by
-their action on the Bloch ball, `theta -> A theta + b`.
+their action on the Bloch ball, `theta -> A theta + b`.  Every map is
+built as given, and `validate` alone judges complete positivity: the
+`validate` command exits 2 on a map that fails it, and the solve
+commands warn and go on.
 
 Channels preserve Hermiticity, so the solver holds a channel as a real
 matrix on Hermitian coordinates.  The coordinates of a Hermitian d x d
@@ -60,10 +63,6 @@ def _pauli_coords(X: np.ndarray) -> np.ndarray:
 def _pauli_operators(x: np.ndarray) -> np.ndarray:
     # The (..., 2, 2) operators `x . s / 2` of a (..., 4) coordinate stack.
     return (x @ PAULI_BASIS / 2).reshape(*x.shape[:-1], 2, 2)
-
-
-class CompletePositivityError(ValueError):
-    """Raised when a map that must be completely positive is not."""
 
 
 def _require_finite(X: np.ndarray, name: str) -> None:
@@ -216,43 +215,24 @@ def tp_residual(ch: Channel) -> float:
     return float(np.abs(S - np.eye(ch.dim_in)).max())
 
 
-def _channel_from_choi(
-    C: np.ndarray,
-    dim_in: int,
-    dim_out: int,
-    name: str | None,
-    origin: AffineQubit | None,
-    allow_non_cp: bool,
-) -> Channel:
-    w, U = herm_eig(C)
-    if w[-1] < -PSD_ATOL and not allow_non_cp:
-        raise CompletePositivityError(
-            f"map is not completely positive (min Choi eigenvalue {w[-1]:.6e})"
-        )
-    ops, signs = [], []
-    for mu, u in zip(w, U.T):
-        if abs(mu) <= KRAUS_CUT:
-            continue
-        ops.append((np.sqrt(abs(mu)) * u).reshape(dim_in, dim_out).T)
-        signs.append(1.0 if mu > 0 else -1.0)
-    return Channel(np.array(ops), np.array(signs), name=name, origin=origin)
-
-
-def affine_to_channel(aff: AffineQubit, name: str | None = None, *, allow_non_cp: bool = False) -> Channel:
-    """Convert a Bloch-ball affine map to operator-sum form.
+def affine_to_channel(aff: AffineQubit, name: str | None = None) -> Channel:
+    """Convert a Bloch-ball affine map to signed operator-sum form.
 
     `(A, b)` is the Pauli transfer matrix `R = [[1, 0], [b, A]]`, from
     which the Choi operator is built and eigendecomposed; components
-    below 1e-12 in magnitude are dropped.  A Choi eigenvalue below -1e-9
-    means the affine data is not completely positive, which raises
-    CompletePositivityError unless `allow_non_cp` is set, in which case
-    the offending components are kept with sign -1 and the returned map
-    reproduces the affine action exactly.
+    below 1e-12 in magnitude are dropped.  The map is built as given:
+    each negative Choi eigenvalue gives a generator of sign -1, so the
+    result reproduces the affine action whether or not it is completely
+    positive.  `validate` alone gives the CP verdict: `qcap validate`
+    exits 2 on a map that fails it, and the solve commands warn.
     """
     R = np.block([[np.ones((1, 1)), np.zeros((1, 3))], [aff.b[:, None], aff.A]])
     T = PAULI_BASIS.T @ R @ PAULI_BASIS.conj() / 2  # inverts `Channel._pauli_transfer`
     C = T.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
-    return _channel_from_choi(hermitize(C), 2, 2, name, aff, allow_non_cp)
+    w, U = herm_eig(hermitize(C))
+    keep = np.abs(w) > KRAUS_CUT
+    ops = [(np.sqrt(abs(mu)) * u).reshape(2, 2).T for mu, u in zip(w[keep], U.T[keep])]
+    return Channel(np.array(ops), np.sign(w[keep]), name=name, origin=aff)
 
 
 def affine_cp_matrix(aff: AffineQubit) -> np.ndarray:
@@ -396,7 +376,7 @@ def channel_to_dict(ch: Channel) -> dict:
     return {"name": ch.name, "kind": "kraus", "kraus": _matrix_to_wire(ch.kraus)}
 
 
-def channel_from_dict(d: dict, *, allow_non_cp: bool = False) -> Channel:
+def channel_from_dict(d: dict) -> Channel:
     """Build a channel from a parsed descriptor, checking the schema."""
     if not isinstance(d, dict):
         raise ValueError("channel descriptor must be a JSON object")
@@ -413,18 +393,17 @@ def channel_from_dict(d: dict, *, allow_non_cp: bool = False) -> Channel:
         if not isinstance(aff, dict) or "A" not in aff or "b" not in aff:
             raise ValueError("kind 'affine_qubit' requires 'affine' with fields 'A' and 'b'")
         data = AffineQubit(_array_from_wire(aff["A"], "A"), _array_from_wire(aff["b"], "b"))
-        return affine_to_channel(data, name=name, allow_non_cp=allow_non_cp)
+        return affine_to_channel(data, name=name)
     raise ValueError(f"unknown channel kind {kind!r} (expected 'kraus' or 'affine_qubit')")
 
 
-def load_channel(path: str | Path, *, allow_non_cp: bool = False) -> Channel:
-    """Read a channel descriptor file (JSON)."""
-    text = Path(path).read_text()
+def load_channel(path: str | Path) -> Channel:
+    """Read a channel descriptor file (JSON, UTF-8)."""
     try:
-        d = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    return channel_from_dict(d, allow_non_cp=allow_non_cp)
+    return channel_from_dict(d)
 
 
 def save_channel(ch: Channel, path: str | Path) -> None:

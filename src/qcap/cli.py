@@ -58,7 +58,7 @@ def _lookup(arg: str) -> Channel:
     # A descriptor path or, where no such path exists, a built-in name
     # like "gamma2", within the size budget.
     if Path(arg).exists():
-        ch = load_channel(arg, allow_non_cp=True)
+        ch = load_channel(arg)
     elif arg in FIXTURE_NAMES:
         ch = fixture_channel(arg)
     else:
@@ -123,7 +123,7 @@ def _result_fields(res: CapacityResult) -> dict:
         "iterations": res.iterations_used,
         "start_index": res.start_index,
         "ensemble": {
-            "weights": [float(w) for w in res.ensemble.weights],
+            "weights": res.ensemble.weights.tolist(),
             # Kept as the complex (n, d, d) array; `_report_pieces` writes it.
             "states": states,
         },

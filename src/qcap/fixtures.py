@@ -20,14 +20,6 @@ def _psd_sqrt(P: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
 
-def _affine(name, A, b, allow_non_cp=False):
-    return affine_to_channel(
-        AffineQubit(np.array(A, dtype=float), np.array(b, dtype=float)),
-        name=name,
-        allow_non_cp=allow_non_cp,
-    )
-
-
 def _kraus3(name, V1, V2):
     V1 = np.array(V1, dtype=complex)
     V2 = np.array(V2, dtype=complex)
@@ -37,12 +29,12 @@ def _kraus3(name, V1, V2):
 
 
 def _gamma1():
-    return _affine("gamma1", np.diag([0.5, 0.4, 0.2]), [0.2, 0.0, 0.0])
+    return affine_to_channel(AffineQubit(np.diag([0.5, 0.4, 0.2]), [0.2, 0.0, 0.0]), "gamma1")
 
 
 def _gamma2():
     A = [[0.05, -0.2, 0.4], [-0.2, -0.05, -0.2], [0.2, 0.0, -0.5]]
-    return _affine("gamma2", A, [0.0, 0.0, 0.1])
+    return affine_to_channel(AffineQubit(A, [0.0, 0.0, 0.1]), "gamma2")
 
 
 def _gamma3():
@@ -57,12 +49,12 @@ def _gamma3():
     )
     R2 = np.array([[0.8, 0.6, 0.0], [0.6, -0.8, 0.0], [0.0, 0.0, 1.0]])
     A = R1 @ np.diag([-0.45, 0.6, -0.6]) @ R2
-    return _affine("gamma3", A, [0.2, -0.2, 0.2], allow_non_cp=True)
+    return affine_to_channel(AffineQubit(A, [0.2, -0.2, 0.2]), "gamma3")
 
 
 def _gamma4():
     A = [[0.1, -0.3, 0.0], [-0.3, -0.1, -0.2], [0.0, 0.0, -0.05]]
-    return _affine("gamma4", A, [0.0, 0.2, 0.55])
+    return affine_to_channel(AffineQubit(A, [0.0, 0.2, 0.55]), "gamma4")
 
 
 def _gamma5():

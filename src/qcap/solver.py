@@ -411,11 +411,9 @@ def _iterate(
         info, phis = _holevo_terms(weights, outs, entropy_and_log)
         del outs  # each dead stack is released before the next one is built
         if ent_dims is not None:
-            ent = np.einsum("sn,sn->s", weights, terms)
+            ent = np.einsum("sn,sn->s", weights, terms).tolist()
         keep = []
         info = info.tolist()
-        if ent_dims is not None:
-            ent = ent.tolist()
         for row, idx in enumerate(rows):
             value = info[row]
             if not math.isfinite(value):

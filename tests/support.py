@@ -244,15 +244,15 @@ _HUGE = "1" + "0" * 399  # an integer literal no 64-bit type holds
 _IDENTITY_A = "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"
 
 
-def _kraus_file(kraus: str, name: str = '"x"') -> str:
-    return f'{{"name": {name}, "kind": "kraus", "kraus": {kraus}}}'
+def _kraus_file(kraus: str, name: str = '"x"') -> bytes:
+    return f'{{"name": {name}, "kind": "kraus", "kraus": {kraus}}}'.encode()
 
 
-def _affine_file(A: str = _IDENTITY_A, b: str = "[0, 0, 0]", name: str = '"x"') -> str:
-    return f'{{"name": {name}, "kind": "affine_qubit", "affine": {{"A": {A}, "b": {b}}}}}'
+def _affine_file(A: str = _IDENTITY_A, b: str = "[0, 0, 0]", name: str = '"x"') -> bytes:
+    return f'{{"name": {name}, "kind": "affine_qubit", "affine": {{"A": {A}, "b": {b}}}}}'.encode()
 
 
-# Malformed channel files, by case: the file's text and a fragment of the
+# Malformed channel files, by case: the file's bytes and a fragment of the
 # one error that loading it must raise.
 MALFORMED_FILES = {
     "kraus-huge-integer": (_kraus_file(f"[[[[{_HUGE}, 0], [0, 0]], [[0, 0], [1, 0]]]]"),
@@ -277,4 +277,7 @@ MALFORMED_FILES = {
     "name-nan": (_affine_file(name="NaN"), "name must be a string or null, got float"),
     "name-object": (_affine_file(name='{"a": [1]}'), "name must be a string or null, got dict"),
     "deeply-nested": (_kraus_file("[" * 100_000 + "]" * 100_000), "invalid JSON"),
+    # A valid descriptor but for its encoding: "café" in Latin-1, not UTF-8.
+    "name-latin-1": (_affine_file(name='"café"').decode().encode("latin-1"),
+                     "'utf-8' codec can't decode byte 0xe9"),
 }

@@ -8,7 +8,6 @@ import qcap
 from qcap import (
     AffineQubit,
     Channel,
-    CompletePositivityError,
     affine_cp_matrix,
     affine_to_channel,
     apply,
@@ -196,21 +195,24 @@ class TestAffineToChannel:
     def test_gamma2_is_trace_preserving(self):
         assert tp_residual(qcap.fixture_channel("gamma2")) < 1e-9
 
-    def test_rejects_non_cp_map(self):
-        with pytest.raises(CompletePositivityError, match="min Choi eigenvalue -"):
-            affine_to_channel(AffineQubit(np.eye(3), np.array([0.0, 0.0, 0.5])))
+    def test_builds_non_cp_map_in_signed_form(self):
+        # The map is built as given; `validate` alone judges it.
+        ch = affine_to_channel(AffineQubit(np.eye(3), np.array([0.0, 0.0, 0.5])))
+        assert np.any(ch.signs == -1.0)
+        report = validate(ch)
+        assert not report.cp_ok and report.checks_agree
 
     def test_bloch_action_matches_affine_data(self, rng):
         # One CP map and 20 seeded signed ones.  Each channel's Pauli
         # transfer matrix is `[[1, 0], [b, A]]`, the relation that
         # `affine_to_channel` inverts.
         A = np.array([[0.05, -0.2, 0.4], [-0.2, -0.05, -0.2], [0.2, 0.0, -0.5]])
-        maps = [(A, np.array([0.0, 0.0, 0.1]), False)]
+        maps = [(A, np.array([0.0, 0.0, 0.1]))]
         signed = np.random.default_rng(20)
-        maps += [(signed.uniform(-1, 1, (3, 3)), signed.uniform(-0.5, 0.5, 3), True) for _ in range(20)]
+        maps += [(signed.uniform(-1, 1, (3, 3)), signed.uniform(-0.5, 0.5, 3)) for _ in range(20)]
         n_signed = 0
-        for A, b, allow_non_cp in maps:
-            ch = affine_to_channel(AffineQubit(A, b), allow_non_cp=allow_non_cp)
+        for A, b in maps:
+            ch = affine_to_channel(AffineQubit(A, b))
             n_signed += bool(np.any(ch.signs < 0))
             R = np.block([[np.ones((1, 1)), np.zeros((1, 3))], [b[:, None], A]])
             assert_allclose(ch._pauli_transfer, R, atol=1e-12)
@@ -435,16 +437,16 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="JSON"):
             load_channel(path)
 
-    def test_non_cp_affine_descriptor_respects_flag(self):
+    def test_non_cp_affine_descriptor_builds_signed_channel(self):
         d = {
             "name": "shift",
             "kind": "affine_qubit",
             "affine": {"A": np.eye(3).tolist(), "b": [0.0, 0.0, 0.5]},
         }
-        with pytest.raises(CompletePositivityError):
-            channel_from_dict(d)
-        ch = channel_from_dict(d, allow_non_cp=True)
+        ch = channel_from_dict(d)
         assert np.any(ch.signs == -1.0)
+        report = validate(ch)
+        assert not report.cp_ok and report.checks_agree
 
     def test_kraus_entries_decode_exactly(self):
         # Each `[re, im]` pair is read as it stands, a -0.0 part included.
@@ -454,19 +456,29 @@ class TestDescriptors:
         assert K.tobytes() == expected.tobytes()
         assert channel_to_dict(Channel(K))["kraus"] == d["kraus"]
 
-    @pytest.mark.parametrize("case", sorted(set(MALFORMED_FILES) - {"deeply-nested"}))
+    @pytest.mark.parametrize(
+        "case", sorted(set(MALFORMED_FILES) - {"deeply-nested", "name-latin-1"})
+    )
     def test_rejects_malformed_descriptor(self, case):
-        text, message = MALFORMED_FILES[case]
+        data, message = MALFORMED_FILES[case]
         with pytest.raises(ValueError, match=message):
-            channel_from_dict(json.loads(text))
+            channel_from_dict(json.loads(data))
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
     def test_rejects_malformed_file(self, tmp_path, case):
-        text, message = MALFORMED_FILES[case]
+        data, message = MALFORMED_FILES[case]
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(data)
         with pytest.raises(ValueError, match=message):
             load_channel(path)
+
+    @pytest.mark.parametrize("case", ["deeply-nested", "name-latin-1"])
+    def test_unparsable_file_error_names_the_path(self, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_bytes(MALFORMED_FILES[case][0])
+        with pytest.raises(ValueError) as info:
+            load_channel(path)
+        assert str(info.value).startswith(f"{path}: invalid JSON (")
 
     def test_rejects_lists_nested_past_numpy(self):
         # A parsed descriptor nested deeper than numpy's 64 dimensions.

@@ -424,6 +424,21 @@ class TestValidate:
         assert proc.returncode == 2
         assert "JSON" in proc.stderr
 
+    def test_reads_utf8_under_c_locale(self, tmp_path):
+        # Files are UTF-8 whatever the locale: with locale coercion and
+        # UTF-8 mode off, the C locale's own encoding is ASCII.
+        path = tmp_path / "psi.json"
+        d = {"name": "ψ-shrink", "kind": "affine_qubit",
+             "affine": {"A": np.diag([0.5, 0.4, 0.2]).tolist(), "b": [0.2, 0.0, 0.0]}}
+        path.write_text(json.dumps(d, ensure_ascii=False), encoding="utf-8")
+        env = {**child_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcap.cli", "validate", "--channel", str(path)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["name"] == "ψ-shrink"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -649,9 +664,9 @@ def test_malformed_channel_files_exit_2(tmp_path, capsys, command, case):
     # fault, no report and no traceback.
     from qcap import cli
 
-    text, message = MALFORMED_FILES[case]
+    data, message = MALFORMED_FILES[case]
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(data)
     assert cli.main([command, "--channel", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

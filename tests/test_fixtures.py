@@ -81,14 +81,8 @@ def test_descriptor_files_match_registry(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_descriptor_files_load_as_channels(name):
-    ch = qcap.load_channel(CHANNEL_DIR / f"{name}.json", allow_non_cp=True)
+    ch = qcap.load_channel(CHANNEL_DIR / f"{name}.json")
     assert ch.name == name
     ref = fixture_channel(name)
-    assert ch.dim_in == ref.dim_in
-    rng = np.random.default_rng(3)
-    G = rng.standard_normal((ch.dim_in, ch.dim_in)) + 1j * rng.standard_normal(
-        (ch.dim_in, ch.dim_in)
-    )
-    rho = G @ G.conj().T
-    rho /= np.trace(rho).real
-    assert_allclose(apply(ch, rho), apply(ref, rho), atol=1e-12)
+    assert ch.kraus.tobytes() == ref.kraus.tobytes() and ch.kraus.shape == ref.kraus.shape
+    assert ch.signs.tobytes() == ref.signs.tobytes()

@@ -1,7 +1,9 @@
 """No module of the package or of its tests imports a name it never uses,
-no private helper of the package is left without a caller, no
-module constant of the package is left unnamed, and no code of the
-command line module but its `main` catches an exception.
+no private helper of the package is left without a caller, no private
+helper keeps an option that no call passes, no module constant of the
+package is left unnamed, no code of the command line module but its
+`main` catches an exception, and the package's `__all__` lists exactly
+the public names its `__init__` imports, each of which resolves.
 
 No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
@@ -267,3 +269,43 @@ def test_only_cli_main_maps_exceptions():
     # `cli.main` alone turns an exception into an exit code, so no helper
     # may catch and re-raise what `main` already maps.
     assert tries_outside((ROOT / "src" / "qcap" / "cli.py").read_text(), "main") == []
+
+
+def export_gaps(source: str) -> tuple[list[str], list[str]]:
+    """Public names the source imports but leaves out of `__all__`, and
+    `__all__` entries it never imports."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    listed = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    return sorted(public - listed), sorted(listed - public)
+
+
+def test_export_scanner_flags_both_gaps():
+    source = (
+        "from __future__ import annotations\n"
+        "from .a import Kept, Unlisted, _private\n"
+        "import numpy as np\n"
+        "__version__ = '1'\n"
+        "__all__ = ['Kept', 'np', 'Gone']\n"
+    )
+    assert export_gaps(source) == (["Unlisted"], ["Gone"])
+
+
+def test_all_matches_the_package_imports():
+    import qcap
+
+    assert [name for name in qcap.__all__ if not hasattr(qcap, name)] == []
+    assert export_gaps((ROOT / "src" / "qcap" / "__init__.py").read_text()) == ([], [])
