@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -129,6 +130,32 @@ class CapacityResult:
     iterations_used: int
     start_index: int
     trace: IterationTrace
+
+
+class _Finish(NamedTuple):
+    # One start's end as `_iterate` leaves it, unvalidated: the fields of
+    # its `CapacityResult`, with the trace as lists and the states as the
+    # step holds them, kets or Pauli coordinates that `to_states` maps to
+    # matrices (or, where it is None, the initial state matrices).
+    capacity: float
+    weights: np.ndarray
+    states: np.ndarray
+    to_states: Callable[[np.ndarray], np.ndarray] | None
+    converged: bool
+    iterations_used: int
+    start_index: int
+    values: list[float]
+    ents: list[float] | None
+
+
+def _result(f: _Finish) -> CapacityResult:
+    # The one validated `CapacityResult` a solve returns.
+    states = f.states if f.to_states is None else f.to_states(f.states)
+    trace = IterationTrace(np.array(f.values), None if f.ents is None else np.array(f.ents))
+    return CapacityResult(
+        f.capacity, Ensemble(f.weights, states), f.converged, f.iterations_used, f.start_index,
+        trace,
+    )
 
 
 def default_n_states(dim: int) -> int:
@@ -244,10 +271,13 @@ def _ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
 
 def _reweight(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
     # Each weight times `exp(score)`, shifted by the row's largest score so
-    # that no factor overflows, renormalized per row.
-    new_w = weights * np.exp(scores - scores.max(axis=1, keepdims=True))
-    new_w /= new_w.sum(axis=1, keepdims=True)
-    return new_w
+    # that no factor overflows, renormalized per row.  Computed in place in
+    # `scores`, which the caller gives up.
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores *= weights
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
 def _merge_roots(kets: np.ndarray) -> np.ndarray | None:
@@ -327,11 +357,12 @@ def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
     # identity.  Returns the new weights, the (s, n, 4) Pauli coordinates
     # of the new states and those of their outputs.
     g = phis @ R
-    norm = np.sqrt(np.einsum("snj,snj->sn", g[..., 1:], g[..., 1:]))
+    g_vec = g[..., 1:]
+    norm = np.sqrt(np.vecdot(g_vec, g_vec))
     new_w = _reweight(weights, (g[..., 0] + norm) / 2)
     g[..., 0] = norm
-    zero = norm == 0
-    if zero.any():
+    if not norm.all():
+        zero = norm == 0
         g[zero] = _LOWER_POLE
         norm[zero] = 1.0
     g /= norm[..., None]
@@ -344,8 +375,8 @@ def _iterate(
     states: np.ndarray,
     cfg: SolverConfig,
     ent_dims: tuple[int, int] | None = None,
-) -> list[CapacityResult]:
-    """Iterate the starts `(weights[i], states[i])` as one stack; one result each.
+) -> list[_Finish]:
+    """Iterate the starts `(weights[i], states[i])` as one stack; one end each.
 
     `weights` is an (s, n) stack and `states` an (s, n, d, d) one, taken
     as valid ensembles (`run` and `multi_start` build them so).
@@ -356,8 +387,10 @@ def _iterate(
     then come by inverse iteration (eigh only for a row with no gap below
     its top), and one apply of the new states, whose outputs the next
     iteration reuses.  A start that meets the stop rule (or `max_iters`)
-    leaves the stack with its result; the others go on.  Starts never
-    mix, so each result is the one the start would reach alone.
+    leaves the stack with its end, held unvalidated (`_Finish`); the others
+    go on.  Starts never mix, so each end is the one the start would reach
+    alone.  `_result` turns the one end a solve returns into its validated
+    `CapacityResult`.
 
     Outputs, logs, ascent operators and dual images are held as real
     Hermitian coordinates (`linalg._herm_coords`) and mapped by the
@@ -374,7 +407,7 @@ def _iterate(
     then shrinks to the start with the most distinct kets.  Coincident
     states stay coincident and keep their weight ratio, so each start
     records every component's row and constant share of its weight, and
-    its result is expanded back to all `n` components.  A converging
+    its end is expanded back to all `n` components.  A converging
     `gamma1^(x)4` stack falls from 256 rows to 16, and each distinct
     state is stepped once.
 
@@ -396,43 +429,45 @@ def _iterate(
         entropy_and_log, ascend = _entropy_and_log, _ascend
         pure_states = _projectors
     outs = coords(states) @ op.T  # what the step applies: the real transfer matrix
-    if ent_dims is not None:
+    tracked = ent_dims is not None
+    if tracked:
         terms = _entanglement_terms(states, *ent_dims)
+    places, patience, max_iters = cfg.decimal_places, cfg.patience, cfg.max_iters
     pure = None  # the updated stack's kets or Pauli coordinates; until then `states`
     rows = list(range(s))  # start index of each row still in the stack
     values: list[list[float]] = [[] for _ in rows]
     ents: list[list[float]] = [[] for _ in rows]
     last = [None] * s  # last rounded value and how many times in a row it came
     streak = [0] * s
-    results: list[CapacityResult | None] = [None] * s
+    finished: list[_Finish | None] = [None] * s
     groups = [np.arange(n)] * s  # per start: each component's row in the stack
     shares = [np.ones(n)] * s  # ... and its share of that row's weight
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, max_iters + 1):
         info, phis = _holevo_terms(weights, outs, entropy_and_log)
         del outs  # each dead stack is released before the next one is built
-        if ent_dims is not None:
+        if tracked:
             ent = np.einsum("sn,sn->s", weights, terms).tolist()
         keep = []
-        info = info.tolist()
-        for row, idx in enumerate(rows):
-            value = info[row]
+        for row, (idx, value) in enumerate(zip(rows, info.tolist())):
             if not math.isfinite(value):
                 raise np.linalg.LinAlgError(f"mutual information is {value} at iteration {k}")
             values[idx].append(value)
-            if ent_dims is not None:
+            if tracked:
                 ents[idx].append(ent[row])
-            rounded = round(value, cfg.decimal_places)
+            rounded = round(value, places)
             streak[idx] = streak[idx] + 1 if rounded == last[idx] else 1
             last[idx] = rounded
-            converged = streak[idx] >= cfg.patience
-            if converged or k == cfg.max_iters:
-                trace = IterationTrace(
-                    np.array(values[idx]), np.array(ents[idx]) if ent_dims is not None else None
-                )
+            converged = streak[idx] >= patience
+            if converged or k == max_iters:
                 at = groups[idx]
-                final = states[row][at] if pure is None else pure_states(pure[row][at])
-                pi = Ensemble(weights[row][at] * shares[idx], final)
-                results[idx] = CapacityResult(value, pi, converged, k, idx, trace)
+                if pure is None:
+                    final, to_states = states[row][at], None
+                else:
+                    final, to_states = pure[row][at], pure_states
+                finished[idx] = _Finish(
+                    value, weights[row][at] * shares[idx], final, to_states, converged, k, idx,
+                    values[idx], ents[idx] if tracked else None,
+                )
             else:
                 keep.append(row)
         if not keep:
@@ -445,9 +480,9 @@ def _iterate(
         del phis
         if not pauli and k % MERGE_EVERY == 0:
             weights, pure, outs = _merge(weights, pure, outs, rows, groups, shares)
-        if ent_dims is not None:
+        if tracked:
             terms = _schmidt_terms(pure, *ent_dims)
-    return results
+    return finished
 
 
 def run(
@@ -470,7 +505,7 @@ def run(
     if init.dim != ch.dim_in:
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
     cfg = dataclasses.replace(config, n_states=init.n_states).resolved(ch)
-    return _iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)[0]
+    return _result(_iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)[0])
 
 
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
@@ -505,8 +540,8 @@ def multi_start(
     """
     cfg = config.resolved(ch)
     weights, states = _starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    best: CapacityResult | None = None
-    for res in _iterate(ch, weights, states, cfg, ent_dims):
-        if best is None or res.capacity > best.capacity + START_TIE_NATS:
-            best = res
-    return best
+    best: _Finish | None = None
+    for end in _iterate(ch, weights, states, cfg, ent_dims):
+        if best is None or end.capacity > best.capacity + START_TIE_NATS:
+            best = end
+    return _result(best)

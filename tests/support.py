@@ -64,6 +64,16 @@ def random_qubit_kraus(rng, n_kraus):
     return Q.reshape(n_kraus, 2, 2)
 
 
+def large_entry_kraus():
+    """Two 3 x 3 generators with entries near 1e4, far from trace preserving.
+
+    Their Choi operator's rounding leaves it about 2e-8 from Hermitian,
+    far past `linalg.HERM_ATOL`.
+    """
+    rng = np.random.default_rng(0)
+    return (rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))) * 1e4
+
+
 def random_pure_ensemble(rng, dim, n):
     """Uniform ensemble over n random pure states (plain numpy construction)."""
     psi = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
@@ -203,10 +213,10 @@ def product(*names):
 
 
 def every_start(ch, config, ent_dims=None):
-    """The `_iterate` results of every start `multi_start` makes."""
+    """The results of every start `multi_start` makes, each validated."""
     cfg = config.resolved(ch)
     starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    return qcap.solver._iterate(ch, *starts, cfg, ent_dims)
+    return [qcap.solver._result(end) for end in qcap.solver._iterate(ch, *starts, cfg, ent_dims)]
 
 
 def patched(solve, **replacements):

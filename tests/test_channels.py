@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import qcap
 from qcap import (
@@ -27,7 +27,7 @@ from qcap import (
 from qcap.channels import PAULI_BASIS, _apply_batch, _dual_apply_batch, _pauli_operators
 from qcap.linalg import _herm_coords, _herm_operators, _pure_coords
 from support import MALFORMED_FILES, PAULI_X, PAULI_Y, PAULI_Z, identity_channel, product
-from support import random_density
+from support import large_entry_kraus, random_density, random_qubit_kraus
 from support import random_hermitian, random_hermitians, replacement_channel
 
 
@@ -316,6 +316,18 @@ class TestValidate:
         assert report.tp_residual == pytest.approx(1e306)
         assert not report.passed
 
+    def test_choi_rounding_at_large_entries_gives_a_report(self):
+        # The Choi operator misses Hermiticity by more than `herm_eig`
+        # allows; only its smallest eigenvalue is read, from one triangle.
+        ch = Channel(large_entry_kraus())
+        C = choi(ch)
+        assert np.abs(C - C.conj().T).max() > qcap.linalg.HERM_ATOL
+        report = validate(ch)
+        assert not report.tp_ok and not report.passed
+        # The smallest eigenvalue of the Hermitian part, to C's rounding.
+        want = np.linalg.eigvalsh(qcap.linalg.hermitize(C))[0]
+        assert abs(report.choi_min_eigenvalue - want) <= 1e-14 * np.abs(C).max()
+
 
 class TestTensor:
     def test_identity_pair(self, rng):
@@ -426,6 +438,14 @@ class TestDescriptors:
             ch.signs[0] = -1.0
         K[0, 0, 0] = 2.0
         assert ch.kraus[0, 0, 0] == 1.0
+
+    def test_generators_stored_in_c_order(self, rng):
+        # The same values in Fortran order give the same bits downstream.
+        K = random_qubit_kraus(rng, 2)
+        c, f = Channel(K), Channel(np.asfortranarray(K))
+        assert f.kraus.flags.c_contiguous
+        assert validate(f) == validate(c)
+        assert_array_equal(f._transfer, c._transfer)
 
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="object"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qcap import Channel, multi_start, save_channel
-from support import MALFORMED_FILES, replacement_channel
+from support import MALFORMED_FILES, large_entry_kraus, replacement_channel
 
 ROOT = Path(__file__).resolve().parent.parent
 CHANNEL_DIR = ROOT / "channels"
@@ -578,6 +578,23 @@ def test_overflowing_kraus_data_exits_2(tmp_path, capsys, command, case):
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", "error: kraus entries overflow float64 in the "
                                        "trace-preservation sum or the Choi operator\n")
+
+
+def test_large_entry_kraus_data_is_judged(tmp_path, capsys):
+    # Entries near 1e4 leave the Choi operator's rounding past the
+    # Hermiticity check of `herm_eig`: `validate` still reports and exits
+    # 2, and `capacity` refuses the map as not trace preserving.
+    from qcap import cli
+
+    path = tmp_path / "large.json"
+    save_channel(Channel(large_entry_kraus(), name="large"), path)
+    assert cli.main(["validate", "--channel", str(path)]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (report["tp_ok"], report["passed"], err) == (False, False, "")
+    assert cli.main(["capacity", "--channel", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: not trace preserving")
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 no private helper of the package is left without a caller, no private
 helper keeps an option that no call passes, no module constant of the
 package is left unnamed, no code of the command line module but its
-`main` catches an exception, and the package's `__all__` lists exactly
-the public names its `__init__` imports, each of which resolves.
+`main` catches an exception, the package's `__all__` lists exactly the
+public names its `__init__` imports, each of which resolves, and no
+code of the package computes eigenvectors only to discard them.
 
 No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
@@ -309,3 +310,66 @@ def test_all_matches_the_package_imports():
 
     assert [name for name in qcap.__all__ if not hasattr(qcap, name)] == []
     assert export_gaps((ROOT / "src" / "qcap" / "__init__.py").read_text()) == ([], [])
+
+
+_EIGENVECTOR_SOLVERS = {"herm_eig", "eigh"}
+
+
+def _solves_eigenvectors(node: ast.AST) -> bool:
+    # Whether `node` is a call of `herm_eig` or `eigh`, bare or as an
+    # attribute such as `np.linalg.eigh`.
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return getattr(func, "id", getattr(func, "attr", None)) in _EIGENVECTOR_SOLVERS
+
+
+def discarded_eigenvectors(source: str) -> list[int]:
+    """Line of every `herm_eig` or `eigh` call whose eigenvectors are unread.
+
+    The call is flagged when its pair is unpacked into `w, _`, when only
+    its item 0 is taken, or when only its `eigenvalues` field is read.
+    Code that needs only eigenvalues calls `eigvalsh` instead.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and _solves_eigenvectors(node.value):
+            lines += [
+                node.lineno
+                for target in node.targets
+                if isinstance(target, ast.Tuple)
+                and len(target.elts) == 2
+                and isinstance(target.elts[1], ast.Name)
+                and target.elts[1].id == "_"
+            ]
+        elif isinstance(node, ast.Subscript) and _solves_eigenvectors(node.value):
+            if isinstance(node.slice, ast.Constant) and node.slice.value == 0:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and _solves_eigenvectors(node.value):
+            if node.attr == "eigenvalues":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_eigenvector_scanner_flags_only_discarded_vectors():
+    source = (
+        "w, _ = herm_eig(H)\n"
+        "w, V = np.linalg.eigh(H)\n"
+        "lam = np.linalg.eigh(H)[0][-1]\n"
+        "ket = np.linalg.eigh(H)[1][..., -1]\n"
+        "top = linalg.herm_eig(H).eigenvalues\n"
+        "vecs = herm_eig(H).eigenvectors\n"
+        "_, V = herm_eig(H)\n"
+        "w, _ = np.linalg.eig(H)\n"
+        "w = np.linalg.eigvalsh(H)\n"
+    )
+    assert discarded_eigenvectors(source) == [1, 3, 5]
+
+
+def test_no_discarded_eigenvectors():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE
+        for line in discarded_eigenvectors(path.read_text())
+    ]
+    assert found == []

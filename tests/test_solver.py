@@ -8,10 +8,8 @@ from numpy.testing import assert_allclose
 import qcap
 import qcap.cli
 from qcap import (
-    CapacityResult,
     Channel,
     Ensemble,
-    IterationTrace,
     SolverConfig,
     ab_step,
     canonical_qubit_start,
@@ -511,12 +509,27 @@ class TestMultiStart:
         capacities = [0.5, 0.5 + gain]
 
         def fake_iterate(ch, weights, states, cfg, ent_dims=None):
-            return [CapacityResult(c, Ensemble(w, S), True, 1, i, IterationTrace(np.zeros(1)))
+            return [qcap.solver._Finish(c, w, S, None, True, 1, i, [0.0], None)
                     for i, (c, w, S) in enumerate(zip(capacities, weights, states))]
 
         monkeypatch.setattr(qcap.solver, "_iterate", fake_iterate)
         res = multi_start(qcap.fixture_channel("gamma1"), SolverConfig(starts=2))
         assert res.start_index == winner
+
+    @pytest.mark.parametrize("name", BOTH_PATHS)
+    def test_one_ensemble_per_solve(self, monkeypatch, name):
+        # Every start's end stays raw; only the one returned is validated.
+        built = []
+        check = Ensemble.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        ch = qcap.fixture_channel(name)
+        monkeypatch.setattr(Ensemble, "__post_init__", counted)
+        res = multi_start(ch, SolverConfig(seed=3))
+        assert built == [res.ensemble]
 
     @pytest.mark.parametrize("pair", [("gamma4",), ("gamma2", "gamma4")])
     def test_batched_starts_equal_solo_runs(self, pair):
