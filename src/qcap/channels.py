@@ -279,6 +279,16 @@ def tensor(ch1: Channel, ch2: Channel) -> Channel:
     return Channel(ops, signs, name=name)
 
 
+def _psd_verdict(M: np.ndarray) -> tuple[float, bool]:
+    # The smallest eigenvalue of Hermitian M, which `eigvalsh` takes from
+    # one triangle, and whether it clears `-PSD_ATOL` scaled by M's largest
+    # entry: the rounding of M, and of its spectrum, grows with its entries.
+    # With entries near 1e4 a Choi operator already misses `herm_eig`'s
+    # absolute Hermiticity check, and its exact zeros read about -2e-7.
+    w = float(np.linalg.eigvalsh(M)[0])
+    return w, w >= -PSD_ATOL * max(1.0, float(np.abs(M).max()))
+
+
 def validate(ch: Channel) -> ValidationReport:
     """Check trace preservation and complete positivity.
 
@@ -295,16 +305,12 @@ def validate(ch: Channel) -> ValidationReport:
         raise ValueError("kraus entries overflow float64 in the trace-preservation sum "
                          "or the Choi operator")
     tp_ok = resid <= TP_ATOL
-    # Each check reads only the smallest eigenvalue, which `eigvalsh` takes
-    # from one triangle.  With entries near 1e4 the Choi operator's rounding
-    # already fails `herm_eig`'s absolute Hermiticity check.
-    cmin = float(np.linalg.eigvalsh(C)[0])
-    cp_ok = cmin >= -PSD_ATOL
+    cmin, cp_ok = _psd_verdict(C)
     amin = None
     agree = None
     if ch.origin is not None:
-        amin = float(np.linalg.eigvalsh(affine_cp_matrix(ch.origin))[0])
-        agree = (amin >= -PSD_ATOL) == cp_ok
+        amin, affine_ok = _psd_verdict(affine_cp_matrix(ch.origin))
+        agree = affine_ok == cp_ok
     passed = tp_ok and cp_ok and (agree is not False)
     return ValidationReport(resid, tp_ok, cmin, cp_ok, amin, agree, passed)
 

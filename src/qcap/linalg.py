@@ -253,7 +253,7 @@ def _pauli_entropy_and_log(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # form: P has eigenvalues `(t -+ |r|)/2`, and its clamped log has
     # coordinates `(l_- + l_+, (l_+ - l_-) r / |r|)`.  No eigendecomposition.
     r = y[..., 1:]
-    norm = np.sqrt(np.vecdot(r, r))
+    norm = np.sqrt(np.einsum("...j,...j->...", r, r))
     ents, logs = _clamped_logs((y[..., :1] + norm[..., None] * _MINUS_PLUS) / 2)
     # Where |r| is 0 (or below the smallest normal double) both logs are
     # equal, so any positive divisor gives the 0 that is wanted there.

@@ -133,29 +133,25 @@ class CapacityResult:
 
 
 class _Finish(NamedTuple):
-    # One start's end as `_iterate` leaves it, unvalidated: the fields of
-    # its `CapacityResult`, with the trace as lists and the states as the
-    # step holds them, kets or Pauli coordinates that `to_states` maps to
-    # matrices (or, where it is None, the initial state matrices).
-    capacity: float
+    # One start's end as `_iterate` leaves it, unvalidated: its weights, its
+    # states as the stack holds them with the map that makes them matrices
+    # (kets or Pauli coordinates; `np.asarray` for a start that ends before
+    # its first update, whose states are still the initial matrices), and
+    # its trace as lists, the last value being its capacity.
     weights: np.ndarray
     states: np.ndarray
-    to_states: Callable[[np.ndarray], np.ndarray] | None
+    to_states: Callable[[np.ndarray], np.ndarray]
     converged: bool
-    iterations_used: int
-    start_index: int
     values: list[float]
     ents: list[float] | None
 
 
-def _result(f: _Finish) -> CapacityResult:
-    # The one validated `CapacityResult` a solve returns.
-    states = f.states if f.to_states is None else f.to_states(f.states)
-    trace = IterationTrace(np.array(f.values), None if f.ents is None else np.array(f.ents))
-    return CapacityResult(
-        f.capacity, Ensemble(f.weights, states), f.converged, f.iterations_used, f.start_index,
-        trace,
-    )
+def _result(end: _Finish, start_index: int) -> CapacityResult:
+    # The validated `CapacityResult` of one end: only the one a solve
+    # returns is built.
+    pi = Ensemble(end.weights, end.to_states(end.states))
+    trace = IterationTrace(np.array(end.values), None if end.ents is None else np.array(end.ents))
+    return CapacityResult(end.values[-1], pi, end.converged, len(end.values), start_index, trace)
 
 
 def default_n_states(dim: int) -> int:
@@ -271,13 +267,10 @@ def _ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
 
 def _reweight(weights: np.ndarray, scores: np.ndarray) -> np.ndarray:
     # Each weight times `exp(score)`, shifted by the row's largest score so
-    # that no factor overflows, renormalized per row.  Computed in place in
-    # `scores`, which the caller gives up.
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores *= weights
-    scores /= scores.sum(axis=1, keepdims=True)
-    return scores
+    # that no factor overflows, renormalized per row.
+    new_w = weights * np.exp(scores - scores.max(axis=1, keepdims=True))
+    new_w /= new_w.sum(axis=1, keepdims=True)
+    return new_w
 
 
 def _merge_roots(kets: np.ndarray) -> np.ndarray | None:
@@ -357,12 +350,11 @@ def _pauli_ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
     # identity.  Returns the new weights, the (s, n, 4) Pauli coordinates
     # of the new states and those of their outputs.
     g = phis @ R
-    g_vec = g[..., 1:]
-    norm = np.sqrt(np.vecdot(g_vec, g_vec))
+    norm = np.sqrt(np.einsum("snj,snj->sn", g[..., 1:], g[..., 1:]))
     new_w = _reweight(weights, (g[..., 0] + norm) / 2)
     g[..., 0] = norm
-    if not norm.all():
-        zero = norm == 0
+    zero = norm == 0
+    if zero.any():
         g[zero] = _LOWER_POLE
         norm[zero] = 1.0
     g /= norm[..., None]
@@ -429,10 +421,8 @@ def _iterate(
         entropy_and_log, ascend = _entropy_and_log, _ascend
         pure_states = _projectors
     outs = coords(states) @ op.T  # what the step applies: the real transfer matrix
-    tracked = ent_dims is not None
-    if tracked:
+    if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
-    places, patience, max_iters = cfg.decimal_places, cfg.patience, cfg.max_iters
     pure = None  # the updated stack's kets or Pauli coordinates; until then `states`
     rows = list(range(s))  # start index of each row still in the stack
     values: list[list[float]] = [[] for _ in rows]
@@ -442,31 +432,30 @@ def _iterate(
     finished: list[_Finish | None] = [None] * s
     groups = [np.arange(n)] * s  # per start: each component's row in the stack
     shares = [np.ones(n)] * s  # ... and its share of that row's weight
-    for k in range(1, max_iters + 1):
+    for k in range(1, cfg.max_iters + 1):
         info, phis = _holevo_terms(weights, outs, entropy_and_log)
         del outs  # each dead stack is released before the next one is built
-        if tracked:
+        if ent_dims is not None:
             ent = np.einsum("sn,sn->s", weights, terms).tolist()
         keep = []
-        for row, (idx, value) in enumerate(zip(rows, info.tolist())):
+        info = info.tolist()
+        for row, idx in enumerate(rows):
+            value = info[row]
             if not math.isfinite(value):
                 raise np.linalg.LinAlgError(f"mutual information is {value} at iteration {k}")
             values[idx].append(value)
-            if tracked:
+            if ent_dims is not None:
                 ents[idx].append(ent[row])
-            rounded = round(value, places)
+            rounded = round(value, cfg.decimal_places)
             streak[idx] = streak[idx] + 1 if rounded == last[idx] else 1
             last[idx] = rounded
-            converged = streak[idx] >= patience
-            if converged or k == max_iters:
+            converged = streak[idx] >= cfg.patience
+            if converged or k == cfg.max_iters:
                 at = groups[idx]
-                if pure is None:
-                    final, to_states = states[row][at], None
-                else:
-                    final, to_states = pure[row][at], pure_states
+                held, to_states = (states, np.asarray) if pure is None else (pure, pure_states)
                 finished[idx] = _Finish(
-                    value, weights[row][at] * shares[idx], final, to_states, converged, k, idx,
-                    values[idx], ents[idx] if tracked else None,
+                    weights[row][at] * shares[idx], held[row][at], to_states, converged,
+                    values[idx], ents[idx] if ent_dims is not None else None,
                 )
             else:
                 keep.append(row)
@@ -480,7 +469,7 @@ def _iterate(
         del phis
         if not pauli and k % MERGE_EVERY == 0:
             weights, pure, outs = _merge(weights, pure, outs, rows, groups, shares)
-        if tracked:
+        if ent_dims is not None:
             terms = _schmidt_terms(pure, *ent_dims)
     return finished
 
@@ -505,7 +494,7 @@ def run(
     if init.dim != ch.dim_in:
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
     cfg = dataclasses.replace(config, n_states=init.n_states).resolved(ch)
-    return _result(_iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)[0])
+    return _result(_iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)[0], 0)
 
 
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
@@ -540,8 +529,9 @@ def multi_start(
     """
     cfg = config.resolved(ch)
     weights, states = _starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    best: _Finish | None = None
-    for end in _iterate(ch, weights, states, cfg, ent_dims):
-        if best is None or end.capacity > best.capacity + START_TIE_NATS:
-            best = end
-    return _result(best)
+    ends = _iterate(ch, weights, states, cfg, ent_dims)
+    best = 0
+    for i, end in enumerate(ends):
+        if end.values[-1] > ends[best].values[-1] + START_TIE_NATS:
+            best = i
+    return _result(ends[best], best)

@@ -216,7 +216,8 @@ def every_start(ch, config, ent_dims=None):
     """The results of every start `multi_start` makes, each validated."""
     cfg = config.resolved(ch)
     starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    return [qcap.solver._result(end) for end in qcap.solver._iterate(ch, *starts, cfg, ent_dims)]
+    ends = qcap.solver._iterate(ch, *starts, cfg, ent_dims)
+    return [qcap.solver._result(end, i) for i, end in enumerate(ends)]
 
 
 def patched(solve, **replacements):

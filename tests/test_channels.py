@@ -324,6 +324,10 @@ class TestValidate:
         assert np.abs(C - C.conj().T).max() > qcap.linalg.HERM_ATOL
         report = validate(ch)
         assert not report.tp_ok and not report.passed
+        # CP by construction; its Choi zeros read about -2e-7 of rounding.
+        # With one generator's sign flipped it is far from CP.
+        assert report.cp_ok
+        assert not validate(Channel(large_entry_kraus(), np.array([1.0, -1.0]))).cp_ok
         # The smallest eigenvalue of the Hermitian part, to C's rounding.
         want = np.linalg.eigvalsh(qcap.linalg.hermitize(C))[0]
         assert abs(report.choi_min_eigenvalue - want) <= 1e-14 * np.abs(C).max()

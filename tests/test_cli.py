@@ -591,7 +591,7 @@ def test_large_entry_kraus_data_is_judged(tmp_path, capsys):
     assert cli.main(["validate", "--channel", str(path)]) == 2
     out, err = capsys.readouterr()
     report = json.loads(out)
-    assert (report["tp_ok"], report["passed"], err) == (False, False, "")
+    assert (report["tp_ok"], report["cp_ok"], report["passed"], err) == (False, True, False, "")
     assert cli.main(["capacity", "--channel", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {path}: not trace preserving")

@@ -509,8 +509,8 @@ class TestMultiStart:
         capacities = [0.5, 0.5 + gain]
 
         def fake_iterate(ch, weights, states, cfg, ent_dims=None):
-            return [qcap.solver._Finish(c, w, S, None, True, 1, i, [0.0], None)
-                    for i, (c, w, S) in enumerate(zip(capacities, weights, states))]
+            return [qcap.solver._Finish(w, S, np.asarray, True, [c], None)
+                    for c, w, S in zip(capacities, weights, states)]
 
         monkeypatch.setattr(qcap.solver, "_iterate", fake_iterate)
         res = multi_start(qcap.fixture_channel("gamma1"), SolverConfig(starts=2))
