@@ -13,14 +13,10 @@ from .channels import (
     affine_cp_matrix,
     affine_to_channel,
     apply,
-    bloch_state,
-    bloch_vector,
     channel_from_dict,
-    channel_to_dict,
     choi,
     dual_apply,
     load_channel,
-    save_channel,
     tensor,
     tp_residual,
     validate,
@@ -30,7 +26,6 @@ from .entropy import (
     entanglement,
     j_functional,
     mutual_info,
-    phi_operator,
     rel_entropy,
 )
 from .fixtures import FIXTURE_NAMES, fixture_channel
@@ -48,12 +43,9 @@ from .solver import (
     IterationTrace,
     SolverConfig,
     ab_step,
-    canonical_qubit_start,
     default_n_states,
-    default_starts,
     initial_ensemble,
     multi_start,
-    random_start,
     run,
 )
 
@@ -73,14 +65,9 @@ __all__ = [
     "affine_cp_matrix",
     "affine_to_channel",
     "apply",
-    "bloch_state",
-    "bloch_vector",
-    "canonical_qubit_start",
     "channel_from_dict",
-    "channel_to_dict",
     "choi",
     "default_n_states",
-    "default_starts",
     "dual_apply",
     "entanglement",
     "fixture_channel",
@@ -94,11 +81,8 @@ __all__ = [
     "multi_start",
     "mutual_info",
     "partial_trace",
-    "phi_operator",
-    "random_start",
     "rel_entropy",
     "run",
-    "save_channel",
     "tensor",
     "tp_residual",
     "trace_product",

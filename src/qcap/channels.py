@@ -28,7 +28,7 @@ which keeps the cached matrices in step with the generators.
 
 This module owns the qubit Pauli convention: `PAULI_BASIS` and its
 batched conversions `_pauli_coords` and `_pauli_operators` serve the
-affine maps, the Bloch helpers and the solver's Pauli-basis step alike.
+affine maps and the solver's Pauli-basis step alike.
 """
 
 from __future__ import annotations
@@ -279,61 +279,50 @@ def tensor(ch1: Channel, ch2: Channel) -> Channel:
     return Channel(ops, signs, name=name)
 
 
-def _psd_verdict(M: np.ndarray) -> tuple[float, bool]:
-    # The smallest eigenvalue of Hermitian M, which `eigvalsh` takes from
-    # one triangle, and whether it clears `-PSD_ATOL` scaled by M's largest
-    # entry: the rounding of M, and of its spectrum, grows with its entries.
-    # With entries near 1e4 a Choi operator already misses `herm_eig`'s
-    # absolute Hermiticity check, and its exact zeros read about -2e-7.
-    w = float(np.linalg.eigvalsh(M)[0])
-    return w, w >= -PSD_ATOL * max(1.0, float(np.abs(M).max()))
-
-
 def validate(ch: Channel) -> ValidationReport:
     """Check trace preservation and complete positivity.
 
     For channels carrying affine-qubit origin data the Choi verdict is
     cross-checked against the closed-form 4x4 criterion and the report
-    records whether the two agree.  Raises ValueError when the generators
-    are too large for either check to be finite (entries from about
-    1e154 up).
+    records whether the two agree.  Each check allows its tolerance plus
+    `4 eps sum_k ||V_k||_F^2`, the rounding its sums can carry, so a
+    map's verdict does not depend on how its generators are written.
+    Raises ValueError when the generators are too large for either check
+    to be finite (entries from about 1e154 up).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         resid = tp_residual(ch)
         C = choi(ch)
-    if not (np.isfinite(resid) and np.isfinite(C).all()):
+        size = float(np.vdot(ch.kraus, ch.kraus).real)
+    if not (np.isfinite(resid) and np.isfinite(size) and np.isfinite(C).all()):
         raise ValueError("kraus entries overflow float64 in the trace-preservation sum "
                          "or the Choi operator")
-    tp_ok = resid <= TP_ATOL
-    cmin, cp_ok = _psd_verdict(C)
+    # The rounding of a sum grows with its terms, not with the sum, and the
+    # generators of a map may cancel, leaving small sums of large terms.  An
+    # entry of C, or of `sum_k s_k V_k^dag V_k`, sums products
+    # `s_k V_k[a, i] conj(V_k[b, j])` whose moduli form a PSD matrix of trace
+    # `size`, so that matrix's entries and norm are at most `size`.  A
+    # complex product rounds by under 3 eps of its modulus (2 sqrt(2) eps),
+    # and `eigvalsh` returns the spectrum of a matrix within about
+    # eps ||C|| <= eps size of C, which moves no eigenvalue further (Weyl):
+    # 4 eps size in all.  Each addition also rounds by eps of its running
+    # sum, which adds up with the number of terms only if every rounding
+    # takes one sign.  A CP trace-preserving map has `size` = d_in, so its
+    # tolerances grow by about 1e-14 at most.  A non-CP part within this
+    # rounding cannot be told from it.
+    slack = 4 * float(np.finfo(float).eps) * size
+    tp_ok = resid <= TP_ATOL + slack
+    # `eigvalsh` reads one triangle: with entries near 1e4 a Choi operator
+    # already misses `herm_eig`'s absolute Hermiticity check.
+    cmin = float(np.linalg.eigvalsh(C)[0])
+    cp_ok = cmin >= -(PSD_ATOL + slack)
     amin = None
     agree = None
     if ch.origin is not None:
-        amin, affine_ok = _psd_verdict(affine_cp_matrix(ch.origin))
-        agree = affine_ok == cp_ok
+        amin = float(np.linalg.eigvalsh(affine_cp_matrix(ch.origin))[0])
+        agree = (amin >= -(PSD_ATOL + slack)) == cp_ok
     passed = tp_ok and cp_ok and (agree is not False)
     return ValidationReport(resid, tp_ok, cmin, cp_ok, amin, agree, passed)
-
-
-def bloch_state(theta) -> np.ndarray:
-    """Density matrix `(I + theta . sigma) / 2` of a Bloch vector."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (3,):
-        raise ValueError(f"Bloch vector must have 3 components, got shape {theta.shape}")
-    return _pauli_operators(np.concatenate([[1.0], theta]))
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector of a qubit operator, `Tr[sigma_i rho]` per axis."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    return _pauli_coords(rho)[1:]
-
-
-def _matrix_to_wire(M: np.ndarray) -> list:
-    M = np.asarray(M, dtype=complex)
-    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 # What each descriptor field holds, and how deep its lists nest.
@@ -370,19 +359,6 @@ def _array_from_wire(value, field: str) -> np.ndarray:
     return a.view(complex)[..., 0]
 
 
-def channel_to_dict(ch: Channel) -> dict:
-    """JSON-compatible descriptor; affine-origin channels keep kind 'affine_qubit'."""
-    if ch.origin is not None:
-        return {
-            "name": ch.name,
-            "kind": "affine_qubit",
-            "affine": {"A": ch.origin.A.tolist(), "b": ch.origin.b.tolist()},
-        }
-    if not np.all(ch.signs == 1.0):
-        raise ValueError("signed channels without affine origin have no descriptor form")
-    return {"name": ch.name, "kind": "kraus", "kraus": _matrix_to_wire(ch.kraus)}
-
-
 def channel_from_dict(d: dict) -> Channel:
     """Build a channel from a parsed descriptor, checking the schema."""
     if not isinstance(d, dict):
@@ -412,7 +388,3 @@ def load_channel(path: str | Path) -> Channel:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     return channel_from_dict(d)
 
-
-def save_channel(ch: Channel, path: str | Path) -> None:
-    """Write the channel descriptor as formatted JSON."""
-    Path(path).write_text(json.dumps(channel_to_dict(ch), indent=2, sort_keys=True) + "\n")

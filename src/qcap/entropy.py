@@ -17,7 +17,6 @@ from .linalg import (
     _clamped_logs,
     _entropy_and_log,
     _herm_coords,
-    _herm_operators,
     matrix_log_psd,
     partial_trace,
     trace_product,
@@ -116,12 +115,6 @@ def mutual_info(pi: Ensemble, ch: Channel) -> float:
 def _output_coords(ch: Channel, states: np.ndarray) -> np.ndarray:
     # Hermitian coordinates of the outputs of an (n, d, d) stack of states.
     return _herm_coords(states) @ ch._transfer.T
-
-
-def phi_operator(sigma_p: np.ndarray, rho_p: np.ndarray, ch: Channel) -> np.ndarray:
-    """`Phi = log G(sigma') - log G(rho')`, the solver's ascent direction seed."""
-    _, logs = _entropy_and_log(_output_coords(ch, np.stack([sigma_p, rho_p])))
-    return _herm_operators(logs[0] - logs[1])
 
 
 def j_functional(pi: Ensemble, pi_p: Ensemble, ch: Channel) -> float:

@@ -117,10 +117,6 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.mutual_info)
 
-    @property
-    def k(self) -> np.ndarray:
-        return np.arange(1, len(self.mutual_info) + 1)
-
 
 @dataclass(frozen=True)
 class CapacityResult:
@@ -134,22 +130,20 @@ class CapacityResult:
 
 class _Finish(NamedTuple):
     # One start's end as `_iterate` leaves it, unvalidated: its weights, its
-    # states as the stack holds them with the map that makes them matrices
-    # (kets or Pauli coordinates; `np.asarray` for a start that ends before
-    # its first update, whose states are still the initial matrices), and
-    # its trace as lists, the last value being its capacity.
+    # states as the stack holds them, and its trace as lists, the last value
+    # being its capacity.
     weights: np.ndarray
     states: np.ndarray
-    to_states: Callable[[np.ndarray], np.ndarray]
     converged: bool
     values: list[float]
     ents: list[float] | None
 
 
-def _result(end: _Finish, start_index: int) -> CapacityResult:
-    # The validated `CapacityResult` of one end: only the one a solve
-    # returns is built.
-    pi = Ensemble(end.weights, end.to_states(end.states))
+def _result(end: _Finish, start_index: int, to_states: Callable) -> CapacityResult:
+    # The validated `CapacityResult` of one end, its states made matrices by
+    # the solve's `to_states` (`_iterate`): only the one a solve returns is
+    # built.
+    pi = Ensemble(end.weights, to_states(end.states))
     trace = IterationTrace(np.array(end.values), None if end.ents is None else np.array(end.ents))
     return CapacityResult(end.values[-1], pi, end.converged, len(end.values), start_index, trace)
 
@@ -176,14 +170,10 @@ def _unit_kets(rng: np.random.Generator, n_states: int, dim: int) -> np.ndarray:
     return psi
 
 
-def _require_start_inputs(dim: int, n_states: int, seed: int = 0, index: int = 0) -> None:
-    bounds = (("dim", dim, 1), ("n_states", n_states, 1), ("seed", seed, 0), ("index", index, 0))
-    for name, value, least in bounds:
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
-# `canonical_qubit_start`'s states, shared read-only.
+# Start 0 of a four-state qubit solve: uniform weights over four pure states
+# spread over the Bloch sphere, the +x and -y axis states, the north pole,
+# and a fourth state tilted off every axis.  Shared read-only; `_starts`
+# copies it.
 _S3 = np.sqrt(3.0)
 _CANONICAL_QUBIT_STATES = np.array(
     [
@@ -200,32 +190,11 @@ _CANONICAL_QUBIT_STATES = np.array(
 _CANONICAL_QUBIT_STATES.flags.writeable = False
 
 
-def random_start(dim: int, n_states: int, rng: np.random.Generator) -> Ensemble:
-    """Uniform weights over `n_states` independent random pure states.
-
-    Vectors are isotropic complex Gaussians, normalized, so on composite
-    spaces the states are generically entangled across any factor split.
-    """
-    _require_start_inputs(dim, n_states)
-    return Ensemble(np.full(n_states, 1.0 / n_states), _projectors(_unit_kets(rng, n_states, dim)))
-
-
-def canonical_qubit_start() -> Ensemble:
-    """Fixed four-state qubit ensemble used as the deterministic first start.
-
-    Uniform weights over four pure states spread over the Bloch sphere:
-    the +x and -y axis states, the north pole, and a fourth state tilted
-    off every axis.  Its states are a read-only array.
-    """
-    return Ensemble(np.full(4, 0.25), _CANONICAL_QUBIT_STATES)
-
-
 def _starts(dim: int, n_states: int, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
     # The (s, n) weights and (s, n, d, d) states of the starts `indices`,
     # unvalidated: start 0 of a four-state qubit ensemble is the canonical
-    # one, every other start `i` takes its kets from `default_rng([seed, i])`,
-    # exactly as `random_start` draws them.  The kets take one projector
-    # product for the whole stack.
+    # one, every other start `i` takes its kets from `default_rng([seed, i])`.
+    # The kets take one projector product for the whole stack.
     canonical = []
     psi = np.ones((len(indices), n_states, dim), dtype=complex)
     for row, index in enumerate(indices):
@@ -240,8 +209,17 @@ def _starts(dim: int, n_states: int, seed: int, indices) -> tuple[np.ndarray, np
 
 
 def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble:
-    """Start ensemble for restart `index`: deterministic at 0, seeded random after."""
-    _require_start_inputs(dim, n_states, seed, index)
+    """Start ensemble for restart `index`: deterministic at 0, seeded random after.
+
+    Weights are uniform.  Start 0 of a four-state qubit ensemble is fixed;
+    every other start draws its pure states from `default_rng([seed,
+    index])` as normalized isotropic complex Gaussian vectors, generically
+    entangled across any factor split.  Each call returns fresh arrays.
+    """
+    bounds = (("dim", dim, 1), ("n_states", n_states, 1), ("seed", seed, 0), ("index", index, 0))
+    for name, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     weights, states = _starts(dim, n_states, seed, [index])
     return Ensemble(weights[0], states[0])
 
@@ -367,11 +345,13 @@ def _iterate(
     states: np.ndarray,
     cfg: SolverConfig,
     ent_dims: tuple[int, int] | None = None,
-) -> list[_Finish]:
+) -> tuple[list[_Finish], Callable]:
     """Iterate the starts `(weights[i], states[i])` as one stack; one end each.
 
     `weights` is an (s, n) stack and `states` an (s, n, d, d) one, taken
-    as valid ensembles (`run` and `multi_start` build them so).
+    as valid ensembles (`run` and `multi_start` build them so).  Returns
+    the ends and the one map that turns the states they hold into
+    matrices.
 
     Each iteration takes the mutual information and ascent operators of
     all starts from one eigh of their outputs and averages together.
@@ -415,11 +395,16 @@ def _iterate(
     if pauli:
         op, coords = ch._pauli_transfer, _pauli_coords
         entropy_and_log, ascend = _pauli_entropy_and_log, _pauli_ascend
-        pure_states = _pauli_operators
+        to_states = _pauli_operators
     else:
         op, coords = ch._transfer, _herm_coords
         entropy_and_log, ascend = _entropy_and_log, _ascend
-        pure_states = _projectors
+        to_states = _projectors
+    # A start ends before its first update only at `max_iters` 1, since
+    # `resolved` keeps `patience` at 2 or more, and then every start does:
+    # its states are still the initial matrices.
+    if cfg.max_iters == 1:
+        to_states = np.asarray
     outs = coords(states) @ op.T  # what the step applies: the real transfer matrix
     if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
@@ -452,9 +437,9 @@ def _iterate(
             converged = streak[idx] >= cfg.patience
             if converged or k == cfg.max_iters:
                 at = groups[idx]
-                held, to_states = (states, np.asarray) if pure is None else (pure, pure_states)
+                held = states if pure is None else pure
                 finished[idx] = _Finish(
-                    weights[row][at] * shares[idx], held[row][at], to_states, converged,
+                    weights[row][at] * shares[idx], held[row][at], converged,
                     values[idx], ents[idx] if ent_dims is not None else None,
                 )
             else:
@@ -471,7 +456,7 @@ def _iterate(
             weights, pure, outs = _merge(weights, pure, outs, rows, groups, shares)
         if ent_dims is not None:
             terms = _schmidt_terms(pure, *ent_dims)
-    return finished
+    return finished, to_states
 
 
 def run(
@@ -494,7 +479,8 @@ def run(
     if init.dim != ch.dim_in:
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
     cfg = dataclasses.replace(config, n_states=init.n_states).resolved(ch)
-    return _result(_iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)[0], 0)
+    ends, to_states = _iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)
+    return _result(ends[0], 0, to_states)
 
 
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
@@ -529,9 +515,9 @@ def multi_start(
     """
     cfg = config.resolved(ch)
     weights, states = _starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    ends = _iterate(ch, weights, states, cfg, ent_dims)
+    ends, to_states = _iterate(ch, weights, states, cfg, ent_dims)
     best = 0
     for i, end in enumerate(ends):
         if end.values[-1] > ends[best].values[-1] + START_TIE_NATS:
             best = i
-    return _result(ends[best], best)
+    return _result(ends[best], best, to_states)

@@ -10,6 +10,8 @@ a reference, and compares the runs.
 from __future__ import annotations
 
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qcap import Channel, tensor
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def vn_entropy(rho, floor=1e-12):
@@ -33,6 +36,56 @@ def exp_herm(H):
     """Matrix exponential of a Hermitian matrix via eigendecomposition."""
     w, V = np.linalg.eigh(np.asarray(H, dtype=complex))
     return (V * np.exp(w)) @ V.conj().T
+
+
+def log_psd(rho, floor=1e-12):
+    """Matrix logarithm of a PSD matrix via eigendecomposition, eigenvalues floored."""
+    w, V = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    return (V * np.log(np.maximum(w, floor))) @ V.conj().T
+
+
+def apply_channel(ch, rho):
+    """`sum_k s_k V_k rho V_k^dag`, summed over the generators as written."""
+    return np.einsum("k,kai,ij,kbj->ab", ch.signs, ch.kraus, rho, ch.kraus.conj())
+
+
+def phi_operator(sigma, rho, ch):
+    """`Phi = log G(sigma) - log G(rho)`, the solver's ascent operator."""
+    return log_psd(apply_channel(ch, sigma)) - log_psd(apply_channel(ch, rho))
+
+
+def bloch_state(theta):
+    """Density matrix `(I + theta . sigma) / 2` of a Bloch vector."""
+    return (np.eye(2) + np.einsum("i,iab->ab", np.asarray(theta, dtype=float), PAULIS)) / 2
+
+
+def bloch_vector(rho):
+    """Bloch vector of a qubit operator, `Re Tr[sigma_i rho]` per axis."""
+    return np.einsum("iab,ba->i", PAULIS, np.asarray(rho, dtype=complex)).real
+
+
+def matrix_to_wire(M):
+    """A complex array as the nested `[re, im]` lists of a channel file."""
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], axis=-1).tolist()
+
+
+def channel_to_dict(ch):
+    """A channel's descriptor; one built from affine data keeps kind 'affine_qubit'."""
+    if ch.origin is not None:
+        return {
+            "name": ch.name,
+            "kind": "affine_qubit",
+            "affine": {"A": ch.origin.A.tolist(), "b": ch.origin.b.tolist()},
+        }
+    if not np.all(ch.signs == 1.0):
+        raise ValueError("signed channels without affine origin have no descriptor form")
+    return {"name": ch.name, "kind": "kraus", "kraus": matrix_to_wire(ch.kraus)}
+
+
+def save_channel(ch, path):
+    """Write a channel's descriptor as a formatted JSON file."""
+    Path(path).write_text(json.dumps(channel_to_dict(ch), indent=2, sort_keys=True) + "\n")
 
 
 def random_density(rng, dim, rank=None):
@@ -216,8 +269,8 @@ def every_start(ch, config, ent_dims=None):
     """The results of every start `multi_start` makes, each validated."""
     cfg = config.resolved(ch)
     starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    ends = qcap.solver._iterate(ch, *starts, cfg, ent_dims)
-    return [qcap.solver._result(end, i) for i, end in enumerate(ends)]
+    ends, to_states = qcap.solver._iterate(ch, *starts, cfg, ent_dims)
+    return [qcap.solver._result(end, i, to_states) for i, end in enumerate(ends)]
 
 
 def patched(solve, **replacements):

@@ -11,22 +11,20 @@ from qcap import (
     affine_cp_matrix,
     affine_to_channel,
     apply,
-    bloch_state,
-    bloch_vector,
     channel_from_dict,
-    channel_to_dict,
     choi,
     dual_apply,
     kron,
     load_channel,
-    save_channel,
     tensor,
     tp_residual,
     validate,
 )
-from qcap.channels import PAULI_BASIS, _apply_batch, _dual_apply_batch, _pauli_operators
+from qcap.channels import PAULI_BASIS, _apply_batch, _dual_apply_batch, _pauli_coords
+from qcap.channels import _pauli_operators
 from qcap.linalg import _herm_coords, _herm_operators, _pure_coords
 from support import MALFORMED_FILES, PAULI_X, PAULI_Y, PAULI_Z, identity_channel, product
+from support import bloch_state, bloch_vector, channel_to_dict, save_channel
 from support import large_entry_kraus, random_density, random_qubit_kraus
 from support import random_hermitian, random_hermitians, replacement_channel
 
@@ -537,6 +535,8 @@ class TestConstructorChecks:
 
 
 class TestBlochHelpers:
+    """The Bloch conversions of `tests/support.py` that the affine tests read maps by."""
+
     def test_round_trip(self, rng):
         theta = rng.standard_normal(3)
         theta /= max(np.linalg.norm(theta), 1.0)
@@ -561,4 +561,7 @@ class TestBlochHelpers:
             assert_allclose(bloch_state(e), (np.eye(2) + P) / 2, atol=1e-15)
             assert_allclose(bloch_state(-e), (np.eye(2) - P) / 2, atol=1e-15)
             assert_allclose(bloch_vector(P), 2 * e, atol=1e-15)
-        assert_allclose(_pauli_operators(np.eye(4)), np.stack([np.eye(2), *paulis]) / 2, atol=1e-15)
+        # The package's own conversions, which the solver's Pauli step uses.
+        basis = np.stack([np.eye(2), *paulis])
+        assert_allclose(_pauli_operators(np.eye(4)), basis / 2, atol=1e-15)
+        assert_allclose(_pauli_coords(basis), 2 * np.eye(4), atol=1e-15)

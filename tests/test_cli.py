@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcap import Channel, multi_start, save_channel
-from support import MALFORMED_FILES, large_entry_kraus, replacement_channel
+from qcap import Channel, multi_start
+from support import MALFORMED_FILES, large_entry_kraus, replacement_channel, save_channel
 
 ROOT = Path(__file__).resolve().parent.parent
 CHANNEL_DIR = ROOT / "channels"

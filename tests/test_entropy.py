@@ -10,11 +10,11 @@ from qcap import (
     j_functional,
     kron,
     mutual_info,
-    phi_operator,
     rel_entropy,
 )
 from qcap.channels import apply
-from support import identity_channel, product, random_density, random_pure_ensemble, vn_entropy
+from support import identity_channel, phi_operator, product, random_density
+from support import random_pure_ensemble, vn_entropy
 
 # Printed two-point maximizer of the first benchmark channel: weights on
 # the +x / -x axis states.

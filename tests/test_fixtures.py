@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcap
-from qcap import FIXTURE_NAMES, channel_to_dict, fixture_channel
-from qcap.channels import apply, bloch_state, bloch_vector, tp_residual, validate
+from qcap import FIXTURE_NAMES, fixture_channel
+from qcap.channels import apply, tp_residual, validate
+from support import bloch_state, bloch_vector, channel_to_dict
 
 CHANNEL_DIR = Path(__file__).resolve().parent.parent / "channels"
 

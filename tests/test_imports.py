@@ -3,8 +3,9 @@ no private helper of the package is left without a caller, no private
 helper keeps an option that no call passes, no module constant of the
 package is left unnamed, no code of the command line module but its
 `main` catches an exception, the package's `__all__` lists exactly the
-public names its `__init__` imports, each of which resolves, and no
-code of the package computes eigenvectors only to discard them.
+public names its `__init__` imports, each of which resolves and is
+needed by the package's own code or the acceptance tests, and no code
+of the package computes eigenvectors only to discard them.
 
 No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
@@ -310,6 +311,83 @@ def test_all_matches_the_package_imports():
 
     assert [name for name in qcap.__all__ if not hasattr(qcap, name)] == []
     assert export_gaps((ROOT / "src" / "qcap" / "__init__.py").read_text()) == ([], [])
+
+
+def unneeded_exports(init: str, modules: list[str], acceptance: str) -> list[str]:
+    """Names in the `__all__` of `init` that no module code needs.
+
+    A name counts as needed when an `ast.Name` or `ast.Attribute` of it
+    appears in any of `modules` outside the `def`, `class` or assignment
+    that defines it, or when `acceptance` names it in any form, an import
+    included.  An import in `modules` alone does not count, so a name that
+    only the package's `__init__` re-exports is flagged.
+    """
+    listed = [
+        elt.value
+        for node in ast.parse(init).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    ]
+    needed = set()
+    for source in modules:
+        tree = ast.parse(source)
+        own = defaultdict(set)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in names:
+                own[name].update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if id(node) not in own[name]:
+                needed.add(name)
+    for node in ast.walk(ast.parse(acceptance)):
+        if isinstance(node, ast.Name):
+            needed.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            needed.add(node.attr)
+        elif isinstance(node, ast.alias):
+            needed.add(node.name)
+    return sorted(set(listed) - needed)
+
+
+def test_export_scanner_flags_only_unneeded_names():
+    init = (
+        "from .a import LIMIT, by_acceptance, by_attribute, called, only_tests, recursive\n"
+        "__all__ = ['LIMIT', 'by_acceptance', 'by_attribute', 'called', 'only_tests',"
+        " 'recursive']\n"
+    )
+    modules = [
+        init,
+        "LIMIT = 16\n"
+        "def called():\n    return LIMIT\n"
+        "def only_tests():\n    'called is named in a docstring only'\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def by_acceptance():\n    pass\n"
+        "def by_attribute():\n    pass\n",
+        "from .a import called, only_tests\nfrom . import a\ncalled()\na.by_attribute()\n",
+    ]
+    acceptance = "from qcap import by_acceptance\n"
+    assert unneeded_exports(init, modules, acceptance) == ["only_tests", "recursive"]
+
+
+def test_every_export_is_needed():
+    # The package exports what its own code or the acceptance tests use; a
+    # helper that only other tests call lives in `tests/support.py`.
+    init = (ROOT / "src" / "qcap" / "__init__.py").read_text()
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert unneeded_exports(init, [path.read_text() for path in PACKAGE], acceptance) == []
 
 
 _EIGENVECTOR_SOLVERS = {"herm_eig", "eigh"}

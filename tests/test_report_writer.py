@@ -4,7 +4,7 @@
 `json.dumps` head, one block per ensemble state through
 `cli._array_template` (formatted once per distinct state), and the tail.
 The reference is the path it replaced: each state turned into nested
-`[re, im]` lists by `_matrix_to_wire`, and the whole report passed
+`[re, im]` lists by `support.matrix_to_wire`, and the whole report passed
 through `json.dumps(indent=2, sort_keys=True)`.  Every report must match
 it byte for byte, on stdout and in `--out`.
 """
@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from qcap import cli
-from qcap.channels import _matrix_to_wire
 from qcap.entropy import Ensemble
 from qcap.solver import CapacityResult, IterationTrace
+from support import matrix_to_wire
 
 # Floats whose `repr` takes each form `json` can write: a signed zero,
 # subnormals, an exponent at both ends and a 17-digit mantissa.
@@ -28,7 +28,7 @@ EDGE_VALUES = [-0.0, 5e-324, 2.5e-310, 1e16, 1e-7, 0.1, 1 / 3]
 
 def reference_report(report: dict) -> str:
     ensemble = report["ensemble"]
-    states = [_matrix_to_wire(S) for S in ensemble["states"]]
+    states = [matrix_to_wire(S) for S in ensemble["states"]]
     listed = {**report, "ensemble": {**ensemble, "states": states}}
     return json.dumps(listed, indent=2, sort_keys=True) + "\n"
 

@@ -12,17 +12,15 @@ from qcap import (
     Ensemble,
     SolverConfig,
     ab_step,
-    canonical_qubit_start,
     default_n_states,
-    default_starts,
     entanglement,
     initial_ensemble,
     j_functional,
     multi_start,
     mutual_info,
-    random_start,
     run,
 )
+from qcap.solver import default_starts
 from support import (
     every_start,
     identity_channel,
@@ -90,7 +88,7 @@ class TestConfig:
 
 class TestStarts:
     def test_canonical_qubit_ensemble(self):
-        pi = canonical_qubit_start()
+        pi = initial_ensemble(2, 4, seed=0, index=0)
         assert pi.n_states == 4
         assert_allclose(pi.weights, 0.25)
         for s in pi.states:
@@ -100,7 +98,7 @@ class TestStarts:
 
     def test_index_zero_is_canonical_for_qubits(self):
         pi = initial_ensemble(2, 4, seed=0, index=0)
-        assert_allclose(pi.states, canonical_qubit_start().states, atol=1e-15)
+        assert_allclose(pi.states, qcap.solver._CANONICAL_QUBIT_STATES, atol=1e-15)
 
     def test_index_zero_is_random_for_other_dims(self):
         pi = initial_ensemble(4, 16, seed=0, index=0)
@@ -113,8 +111,8 @@ class TestStarts:
         b = initial_ensemble(2, 4, seed=0, index=2)
         assert np.abs(a.states - b.states).max() > 1e-3
 
-    def test_random_start_states_are_pure(self, rng):
-        pi = random_start(4, 16, rng)
+    def test_random_start_states_are_pure(self):
+        pi = initial_ensemble(4, 16, seed=0, index=1)
         for s in pi.states:
             assert np.linalg.eigvalsh(s)[-1] == pytest.approx(1.0, abs=1e-12)
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-12)
@@ -124,19 +122,19 @@ class TestStarts:
     def test_stacked_starts_are_the_single_starts(self, dim, n, seed):
         # `multi_start` builds its starts as one stack; each must be, bit
         # for bit, the start `initial_ensemble` gives and the one drawn start
-        # by start (the canonical ensemble, or `random_start` from the
-        # start's own generator).
+        # by start (the canonical ensemble, or uniform weights over pure
+        # states drawn from the start's own generator).
         weights, states = qcap.solver._starts(dim, n, seed, range(5))
         assert weights.shape == (5, n) and states.shape == (5, n, dim, dim)
         for i in range(5):
             single = initial_ensemble(dim, n, seed, i)
             if i == 0 and (dim, n) == (2, 4):
-                drawn = canonical_qubit_start()
+                drawn = (np.full(4, 0.25), qcap.solver._CANONICAL_QUBIT_STATES)
             else:
-                drawn = random_start(dim, n, np.random.default_rng([seed, i]))
-            for pi in (single, drawn):
-                assert weights[i].tobytes() == pi.weights.tobytes()
-                assert states[i].tobytes() == pi.states.tobytes()
+                drawn = random_pure_ensemble(np.random.default_rng([seed, i]), dim, n)
+            for w, S in ((single.weights, single.states), drawn):
+                assert weights[i].tobytes() == w.tobytes()
+                assert states[i].tobytes() == S.tobytes()
 
     @pytest.mark.parametrize(
         "args, name",
@@ -152,16 +150,15 @@ class TestStarts:
         with pytest.raises(ValueError, match=f"^{name} must be at least"):
             initial_ensemble(*args)
 
-    @pytest.mark.parametrize("dim, n, name", [(2, 0, "n_states"), (0, 4, "dim")])
-    def test_random_start_names_a_bad_input(self, dim, n, name, rng):
-        with pytest.raises(ValueError, match=f"^{name} must be at least"):
-            random_start(dim, n, rng)
-
-    def test_canonical_start_is_read_only(self):
-        states = canonical_qubit_start().states
-        with pytest.raises(ValueError, match="read-only"):
-            states[0, 0, 0] = 0.0
+    def test_initial_ensemble_is_a_fresh_copy(self):
+        # Writing to one start's states leaves the next call's start as it
+        # was; the canonical states that every qubit solve copies stay
+        # read-only.
+        first = initial_ensemble(2, 4, 0, 0).states
+        first[0, 0, 0] = 0.0
         assert initial_ensemble(2, 4, 0, 0).states[0, 0, 0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            qcap.solver._CANONICAL_QUBIT_STATES[0, 0, 0] = 0.0
 
 
 class TestAbStep:
@@ -196,7 +193,7 @@ class TestAbStep:
 
     def test_sandwich_inequality_along_trajectory(self):
         ch = qcap.fixture_channel("gamma2")
-        pi = canonical_qubit_start()
+        pi = initial_ensemble(2, 4, 0, 0)
         for _ in range(30):
             new = ab_step(pi, ch)
             i_old = mutual_info(pi, ch)
@@ -226,7 +223,7 @@ class TestAbStep:
 
 class TestRun:
     def test_gamma1_from_canonical_start(self):
-        res = run(qcap.fixture_channel("gamma1"), canonical_qubit_start())
+        res = run(qcap.fixture_channel("gamma1"), initial_ensemble(2, 4, 0, 0))
         assert res.converged
         assert res.capacity == pytest.approx(0.138166, abs=1e-5)
 
@@ -245,7 +242,7 @@ class TestRun:
 
     def test_capacity_equals_ensemble_mutual_info(self):
         ch = qcap.fixture_channel("gamma4")
-        res = run(ch, canonical_qubit_start())
+        res = run(ch, initial_ensemble(2, 4, 0, 0))
         assert res.capacity == pytest.approx(mutual_info(res.ensemble, ch), abs=1e-9)
 
     def test_capacity_bounded_by_log_dim(self):
@@ -263,16 +260,16 @@ class TestRun:
             assert len(res.trace) == 3
 
     def test_trace_has_one_row_per_iteration(self):
-        res = run(qcap.fixture_channel("gamma1"), canonical_qubit_start())
+        res = run(qcap.fixture_channel("gamma1"), initial_ensemble(2, 4, 0, 0))
         assert len(res.trace) == res.iterations_used
-        assert res.trace.k[0] == 1
-        assert res.trace.k[-1] == res.iterations_used
+        assert len(res.trace) >= 1
+        assert res.trace.mutual_info.shape == (len(res.trace),)
 
     def test_convergence_uses_patience_window(self):
         # A looser rounding converges no later than a tighter one.
         ch = qcap.fixture_channel("gamma2")
-        loose = run(ch, canonical_qubit_start(), SolverConfig(decimal_places=3))
-        tight = run(ch, canonical_qubit_start(), SolverConfig(decimal_places=8))
+        loose = run(ch, initial_ensemble(2, 4, 0, 0), SolverConfig(decimal_places=3))
+        tight = run(ch, initial_ensemble(2, 4, 0, 0), SolverConfig(decimal_places=8))
         assert loose.iterations_used <= tight.iterations_used
 
     def test_rejects_mismatched_init(self, rng):
@@ -310,7 +307,7 @@ class TestRun:
         ch = product("gamma2", "gamma4")
         monkeypatch.setattr(np, "einsum", recording)
         # gamma1 takes the Pauli step, the product the ket step.
-        run(qcap.fixture_channel("gamma1"), canonical_qubit_start(), SolverConfig(max_iters=5))
+        run(qcap.fixture_channel("gamma1"), initial_ensemble(2, 4, 0, 0), SolverConfig(max_iters=5))
         run(ch, initial_ensemble(4, 16, 0, 0), SolverConfig(max_iters=5), ent_dims=(2, 2))
         assert calls
         assert not any(calls)
@@ -358,7 +355,7 @@ class TestRun:
         calls = []
         for fn in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, fn, lambda *a, fn=fn, **k: calls.append(fn))
-        res = run(ch, canonical_qubit_start(), SolverConfig(max_iters=6))
+        res = run(ch, initial_ensemble(2, 4, 0, 0), SolverConfig(max_iters=6))
         assert res.iterations_used == 6
         assert calls == []
 
@@ -487,7 +484,7 @@ class TestMultiStart:
     def test_single_start_equals_run_on_canonical(self):
         ch = qcap.fixture_channel("gamma2")
         ms = multi_start(ch, SolverConfig(starts=1, seed=9))
-        direct = run(ch, canonical_qubit_start(), SolverConfig(starts=1, seed=9))
+        direct = run(ch, initial_ensemble(2, 4, 0, 0), SolverConfig(starts=1, seed=9))
         assert ms.capacity == direct.capacity
         assert ms.iterations_used == direct.iterations_used
         assert ms.start_index == 0
@@ -509,8 +506,9 @@ class TestMultiStart:
         capacities = [0.5, 0.5 + gain]
 
         def fake_iterate(ch, weights, states, cfg, ent_dims=None):
-            return [qcap.solver._Finish(w, S, np.asarray, True, [c], None)
+            ends = [qcap.solver._Finish(w, S, True, [c], None)
                     for c, w, S in zip(capacities, weights, states)]
+            return ends, np.asarray
 
         monkeypatch.setattr(qcap.solver, "_iterate", fake_iterate)
         res = multi_start(qcap.fixture_channel("gamma1"), SolverConfig(starts=2))
