@@ -204,9 +204,33 @@ def choi(ch: Channel) -> np.ndarray:
 
     Equals `sum_m s_m u_m u_m^dag` with `u_m` the column-stacked
     generator, so it is PSD exactly when the map is completely positive.
+    Two bit-identical generators of opposite signs cancel exactly, so
+    each such pair is left out of the sum, and with it their rounding.
     """
-    u = ch.kraus.transpose(0, 2, 1).reshape(ch.n_generators, -1)
-    return (u.T * ch.signs) @ u.conj()
+    K, signs = ch.kraus, ch.signs
+    if (signs < 0).any():
+        K, signs = _uncancelled(K, signs)
+    u = K.transpose(0, 2, 1).reshape(len(K), ch.dim_in * ch.dim_out)
+    return (u.T * signs) @ u.conj()
+
+
+def _uncancelled(K: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The generators and signs less every pair of bit-identical generators
+    # with opposite signs, each paired with the latest unpaired one before
+    # it; as given if no pair cancels.
+    waiting = {}  # generator bytes -> unpaired indices, all of one sign
+    drop = []
+    for k, V in enumerate(K):
+        seen = waiting.setdefault(V.tobytes(), [])
+        if seen and signs[seen[-1]] != signs[k]:
+            drop += [seen.pop(), k]
+        else:
+            seen.append(k)
+    if not drop:
+        return K, signs
+    keep = np.ones(len(K), dtype=bool)
+    keep[drop] = False
+    return K[keep], signs[keep]
 
 
 def tp_residual(ch: Channel) -> float:

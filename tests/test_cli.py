@@ -741,6 +741,29 @@ def test_parser_built_once_across_commands(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+def test_start_stacks_drawn_once_across_commands(capsys):
+    # In one process, commands that ask for one start stack draw it once,
+    # and each prints what a fresh process prints.  Three files are qubit
+    # maps and `gamma5` a qutrit one.  The 3-copy product's stack (d = 8)
+    # is over the memo's bound, so it is drawn and not kept.
+    from qcap import cli, solver
+
+    commands = [
+        *(("capacity", "--channel", str(CHANNEL_DIR / f"{name}.json"), "--seed", "5")
+          for name in ("gamma1", "gamma2", "gamma4", "gamma5")),
+        ("regularized", "--channel", "gamma1", "--copies", "3", "--seed", "5"),
+    ]
+    solver._memo_starts.cache_clear()
+    for argv in commands:
+        code = cli.main(list(argv))
+        fresh = qcap_cmd(*argv)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+    info = solver._memo_starts.cache_info()
+    # Misses: the qubit stack and the qutrit one.  Hits: two more qubit
+    # files and the single-copy solve of `regularized`.
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+
+
 def test_no_command_exits_2():
     proc = qcap_cmd()
     assert proc.returncode == 2

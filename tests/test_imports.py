@@ -4,8 +4,9 @@ helper keeps an option that no call passes, no module constant of the
 package is left unnamed, no code of the command line module but its
 `main` catches an exception, the package's `__all__` lists exactly the
 public names its `__init__` imports, each of which resolves and is
-needed by the package's own code or the acceptance tests, and no code
-of the package computes eigenvectors only to discard them.
+needed by the package's own code or the acceptance tests, no code of
+the package computes eigenvectors only to discard them, and no memo of
+the package that takes arguments can grow without bound.
 
 No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
@@ -449,5 +450,73 @@ def test_no_discarded_eigenvectors():
         f"{path.relative_to(ROOT)}:{line}"
         for path in PACKAGE
         for line in discarded_eigenvectors(path.read_text())
+    ]
+    assert found == []
+
+
+def _maxsize(call: ast.Call, constants: dict) -> object:
+    # The `maxsize` an `lru_cache(...)` call passes, a module constant's
+    # value if it names one, or the call's default of 128.
+    args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] or call.args[:1]
+    if not args:
+        return 128
+    node = args[0]
+    if isinstance(node, ast.Name):
+        return constants.get(node.id)
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def unbounded_memos(source: str) -> list[int]:
+    """Line of every function taking arguments whose memo has no finite bound.
+
+    Flagged are `functools.cache` and an `lru_cache` whose `maxsize` is not
+    an integer literal or a module constant bound to one.  A function of no
+    arguments has one value to keep, so it may use either.
+    """
+    tree = ast.parse(source)
+    constants = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            constants.update(dict.fromkeys(names, node.value.value))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            func = deco if call is None else call.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            bounded = call is not None and type(_maxsize(call, constants)) is int
+            if name == "cache" or (name == "lru_cache" and call is not None and not bounded):
+                lines.append(deco.lineno)
+    return sorted(lines)
+
+
+def test_memo_scanner_flags_only_unbounded_memos():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "ENTRIES = 8\n"
+        "@functools.cache\ndef a(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(x): pass\n"
+        "@functools.lru_cache(None)\ndef c(*x): pass\n"
+        "@cache\ndef d(): pass\n"
+        "@lru_cache(maxsize=ENTRIES, typed=True)\ndef e(x): pass\n"
+        "@lru_cache\ndef f(x): pass\n"
+        "@lru_cache(32)\ndef g(x): pass\n"
+        "@lru_cache(maxsize=UNKNOWN)\ndef h(x): pass\n"
+    )
+    assert unbounded_memos(source) == [4, 6, 8, 18]
+
+
+def test_no_unbounded_memos():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE
+        for line in unbounded_memos(path.read_text())
     ]
     assert found == []

@@ -6,13 +6,23 @@ how its generators are written: adding a cancelling pair `(a W, +1)`,
 leaves both as they are.  The maps are seeded, and each base channel
 takes a different path: amplitude damping is a CP qubit map (the Pauli
 step), `gamma3` is not CP, and `gamma5` is a qutrit map (the ket step).
+
+Capacity itself obeys two more relations: it does not depend on the
+order of a product's factors, and processing data cannot raise it,
+`C(G2 o G1) <= min(C(G1), C(G2))` for CP maps.
+
+Every tolerance below comes from the stop rule: a reported capacity is
+`I(pi)` of the returned ensemble, so it never exceeds the capacity, and
+a run stops once `decimal_places` decimals of it settle, which these
+tests take to fix it within `10 ** -decimal_places` below the capacity.
 """
 
 import numpy as np
 import pytest
 
 import qcap
-from qcap import Channel, SolverConfig, multi_start, validate
+from qcap import Channel, SolverConfig, choi, entanglement, multi_start, validate
+from support import product
 
 # Amplitude damping at gamma = 0.3.
 AMPLITUDE_DAMPING = np.array(
@@ -55,4 +65,51 @@ def test_rewritten_generators_keep_verdict_and_capacity(name, how):
     # as `4 eps sum_k ||V_k||_F^2` on the Choi operator.
     size = np.vdot(new.kraus, new.kraus).real
     tol = 10.0 ** -cfg.decimal_places + 4 * np.finfo(float).eps * size
-    assert abs(multi_start(new, cfg).capacity - multi_start(ch, cfg).capacity) <= tol
+    res, base = multi_start(new, cfg), multi_start(ch, cfg)
+    assert abs(res.capacity - base.capacity) <= tol
+    if how.startswith("pair-"):
+        # A pair of bit-identical generators with opposite signs cancels
+        # exactly, so it leaves the map's Choi operator, and every solve
+        # built on it, as the base channel's.
+        assert choi(new).tobytes() == choi(ch).tobytes()
+        assert (res.capacity, res.iterations_used) == (base.capacity, base.iterations_used)
+
+
+def compose(outer, inner):
+    # `outer o inner`: the generators `W_j V_i`, with the products of their signs.
+    K = outer.kraus[:, None] @ inner.kraus[None]
+    signs = np.outer(outer.signs, inner.signs).ravel()
+    return Channel(K.reshape(-1, outer.dim_out, inner.dim_in), signs)
+
+
+CP_QUBIT_MAPS = ["gamma1", "gamma2", "gamma4"]
+
+
+@pytest.mark.parametrize("second", CP_QUBIT_MAPS)
+@pytest.mark.parametrize("first", CP_QUBIT_MAPS)
+def test_processing_never_raises_capacity(first, second):
+    g1, g2 = qcap.fixture_channel(first), qcap.fixture_channel(second)
+    assert validate(g1).passed and validate(g2).passed  # the relation needs CP maps
+    cfg = SolverConfig(seed=3)
+    # The composite's reported capacity is at most its capacity, which is
+    # at most min(C(G1), C(G2)), and each factor's reported capacity lies
+    # at most 10^-places below its own: a one-sided bound.
+    bound = min(multi_start(g, cfg).capacity for g in (g1, g2)) + 10.0 ** -cfg.decimal_places
+    assert multi_start(compose(g2, g1), cfg).capacity <= bound
+
+
+@pytest.mark.slow
+def test_factor_order_keeps_capacity_and_entanglement():
+    a, b = qcap.fixture_channel("gamma5"), qcap.fixture_channel("gamma6")
+    cfg = SolverConfig(seed=3)
+    ab = multi_start(product("gamma5", "gamma6"), cfg)
+    ba = multi_start(product("gamma6", "gamma5"), cfg)
+    # `A (x) B` and `B (x) A` are one map up to a swap of the factors, so
+    # both solves approach one capacity from below and settle within
+    # 10^-places of it.  The entanglement each reports, with `ent_dims`
+    # swapped along with the factors, is held to the same decimals.
+    tol = 10.0 ** -cfg.decimal_places
+    assert abs(ab.capacity - ba.capacity) <= tol
+    ent_ab = entanglement(ab.ensemble, a.dim_in, b.dim_in)
+    ent_ba = entanglement(ba.ensemble, b.dim_in, a.dim_in)
+    assert abs(ent_ab - ent_ba) <= tol

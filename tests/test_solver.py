@@ -160,6 +160,46 @@ class TestStarts:
         with pytest.raises(ValueError, match="read-only"):
             qcap.solver._CANONICAL_QUBIT_STATES[0, 0, 0] = 0.0
 
+    def test_writing_into_a_start_changes_no_later_solve(self):
+        # A process draws each small start stack once; what `_starts` and
+        # `initial_ensemble` hand out are writable copies of it.
+        ch = qcap.fixture_channel("gamma5")
+        before = multi_start(ch)
+        weights, states = qcap.solver._starts(3, 9, 0, range(5))
+        pi = initial_ensemble(3, 9, 0, 1)
+        for a in (weights, states, pi.weights, pi.states):
+            assert a.flags.writeable
+            a[...] = 0
+        after = multi_start(ch)
+        assert (after.capacity, after.iterations_used) == (before.capacity, before.iterations_used)
+        assert after.ensemble.states.tobytes() == before.ensemble.states.tobytes()
+
+    def test_memo_keeps_small_stacks_only(self):
+        memo = qcap.solver._memo_starts
+        memo.cache_clear()
+        # 1.3 MB of states: drawn, never looked up or kept.
+        qcap.solver._starts(2, 4096, 0, range(5))
+        assert memo.cache_info().currsize == 0
+        # At d = 4 a state and its weight take 264 bytes: 248 of them fit
+        # the bound and are kept, 249 do not.
+        qcap.solver._starts(4, 248, 0, [1])
+        qcap.solver._starts(4, 249, 0, [1])
+        assert memo.cache_info().currsize == 1
+        kept = memo(4, 248, 0, 1)
+        assert sum(a.nbytes for a in kept) <= qcap.solver.START_MEMO_BYTES
+        assert not any(a.flags.writeable for a in kept)
+        for seed in range(2 * qcap.solver.START_MEMO_ENTRIES):
+            qcap.solver._starts(2, 4, seed, range(5))
+        assert memo.cache_info().currsize == qcap.solver.START_MEMO_ENTRIES
+
+    def test_memo_keys_by_type(self):
+        # A float that equals an int seed or index is refused as a fresh
+        # draw refuses it, even once the int's stack is kept.
+        qcap.solver._starts(2, 4, 1, [1])
+        for args in ((2, 4, 1.0, [1]), (2, 4, 1, [1.0])):
+            with pytest.raises(TypeError):
+                qcap.solver._starts(*args)
+
 
 class TestAbStep:
     def test_identity_channel_fixed_point(self):
