@@ -7,9 +7,9 @@ form exists so that trace-preserving maps whose Choi operator has a
 negative eigenvalue can still be applied, tensored and fed to the
 capacity solver.  Qubit channels may alternatively be specified by
 their action on the Bloch ball, `theta -> A theta + b`.  Every map is
-built as given, and `validate` alone judges complete positivity: the
-`validate` command exits 2 on a map that fails it, and the solve
-commands warn and go on.
+built as given but for exactly cancelling generator pairs, and `validate`
+alone judges complete positivity: the `validate` command exits 2 on a
+map that fails it, and the solve commands warn and go on.
 
 Channels preserve Hermiticity, so the solver holds a channel as a real
 matrix on Hermitian coordinates.  The coordinates of a Hermitian d x d
@@ -97,9 +97,10 @@ class Channel:
     """Signed operator-sum map between complex matrix spaces.
 
     `kraus` is an (m, d_out, d_in) stack, `signs` an (m,) vector of
-    +1/-1 factors.  Construction checks shapes and finiteness only; use
-    `validate` to test trace preservation and complete positivity.  Both
-    arrays are stored as read-only copies.
+    +1/-1 factors, both stored as read-only copies less every pair of
+    bit-identical generators with opposite signs (a stack of such pairs
+    alone, the zero map, is refused).  Construction checks shapes and
+    finiteness; `validate` tests trace preservation and complete positivity.
     """
 
     kraus: np.ndarray
@@ -116,6 +117,10 @@ class Channel:
         s = np.ones(K.shape[0]) if s is None else np.array(s, dtype=float)
         if s.shape != (K.shape[0],) or not np.all(np.abs(s) == 1.0):
             raise ValueError("signs must be a +1/-1 vector, one entry per generator")
+        if (s < 0).any():
+            K, s = _uncancelled(K, s)
+            if not len(K):
+                raise ValueError("kraus generators all cancel in pairs: the zero map")
         K.flags.writeable = False
         s.flags.writeable = False
         object.__setattr__(self, "kraus", K)
@@ -204,14 +209,9 @@ def choi(ch: Channel) -> np.ndarray:
 
     Equals `sum_m s_m u_m u_m^dag` with `u_m` the column-stacked
     generator, so it is PSD exactly when the map is completely positive.
-    Two bit-identical generators of opposite signs cancel exactly, so
-    each such pair is left out of the sum, and with it their rounding.
     """
-    K, signs = ch.kraus, ch.signs
-    if (signs < 0).any():
-        K, signs = _uncancelled(K, signs)
-    u = K.transpose(0, 2, 1).reshape(len(K), ch.dim_in * ch.dim_out)
-    return (u.T * signs) @ u.conj()
+    u = ch.kraus.transpose(0, 2, 1).reshape(ch.n_generators, ch.dim_in * ch.dim_out)
+    return (u.T * ch.signs) @ u.conj()
 
 
 def _uncancelled(K: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

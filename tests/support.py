@@ -159,7 +159,8 @@ def merged_components(weights, states, weight_tol=1e-4, state_tol=1e-4):
     return np.array(sums)[order], [reps[i] for i in order]
 
 
-def _binary_entropy(p):
+def binary_entropy(p):
+    """`h(p)` in nats, clipped away from 0 and 1."""
     p = np.clip(p, 1e-300, 1 - 1e-16)
     return -p * np.log(p) - (1 - p) * np.log1p(-p)
 
@@ -175,8 +176,8 @@ def affine_holevo_quantity(A, b, weights, states):
         [[np.trace(rho @ P).real for P in (PAULI_X, PAULI_Y, PAULI_Z)] for rho in states]
     )
     w = r @ np.asarray(A, dtype=float).T + np.asarray(b, dtype=float)
-    S = _binary_entropy((1 + np.linalg.norm(w, axis=1)) / 2)
-    S_avg = _binary_entropy((1 + np.linalg.norm(weights @ w)) / 2)
+    S = binary_entropy((1 + np.linalg.norm(w, axis=1)) / 2)
+    S_avg = binary_entropy((1 + np.linalg.norm(weights @ w)) / 2)
     return float(S_avg - weights @ S)
 
 
@@ -193,8 +194,8 @@ def _pair_grid_best(A, b, th1, ph1, th2, ph2, lams):
 
     w1 = outputs(th1, ph1)
     w2 = outputs(th2, ph2)
-    S1 = _binary_entropy((1 + np.linalg.norm(w1, axis=1)) / 2)
-    S2 = _binary_entropy((1 + np.linalg.norm(w2, axis=1)) / 2)
+    S1 = binary_entropy((1 + np.linalg.norm(w1, axis=1)) / 2)
+    S2 = binary_entropy((1 + np.linalg.norm(w2, axis=1)) / 2)
     n1sq = (w1 * w1).sum(axis=1)
     n2sq = (w2 * w2).sum(axis=1)
     best_val = -np.inf
@@ -209,7 +210,7 @@ def _pair_grid_best(A, b, th1, ph1, th2, ph2, lams):
         for lam in lams:
             mix_sq = lam * lam * a2 + (1 - lam) ** 2 * b2 + 2 * lam * (1 - lam) * G
             r = np.sqrt(np.clip(mix_sq, 0.0, None))
-            val = _binary_entropy((1 + r) / 2) - lam * s1 - (1 - lam) * s2
+            val = binary_entropy((1 + r) / 2) - lam * s1 - (1 - lam) * s2
             k = int(np.argmax(val))
             if val.flat[k] > best_val:
                 best_val = float(val.flat[k])
@@ -258,6 +259,16 @@ def replacement_channel(probs):
     p = np.sqrt(probs)
     e = np.eye(len(p))
     return Channel(np.array([p[a] * np.outer(e[a], b) for a in range(len(p)) for b in e]))
+
+
+def weyl_depolarizing(p):
+    """Qutrit `(1 - p) rho + p I/3` from the nine Weyl operators `X^a Z^b`."""
+    omega = np.exp(2j * np.pi / 3)
+    X = np.roll(np.eye(3), 1, axis=0)
+    Z = np.diag(omega ** np.arange(3))
+    weyl = [np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b) for a in range(3) for b in range(3)]
+    coef = np.sqrt([1 - 8 * p / 9] + [p / 9] * 8)
+    return Channel(np.array([c * W for c, W in zip(coef, weyl)]))
 
 
 def product(*names):

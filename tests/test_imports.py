@@ -5,8 +5,9 @@ package is left unnamed, no code of the command line module but its
 `main` catches an exception, the package's `__all__` lists exactly the
 public names its `__init__` imports, each of which resolves and is
 needed by the package's own code or the acceptance tests, no code of
-the package computes eigenvectors only to discard them, and no memo of
-the package that takes arguments can grow without bound.
+the package computes eigenvectors only to discard them, no memo of the
+package that takes arguments can grow without bound, and no code of the
+package needs a numpy name newer than the numpy 1.24 it declares.
 
 No linter runs on this repository, so these `ast` scans stand in for
 one.  A name listed in the module's `__all__` is a re-export, and a
@@ -518,5 +519,105 @@ def test_no_unbounded_memos():
         f"{path.relative_to(ROOT)}:{line}"
         for path in PACKAGE
         for line in unbounded_memos(path.read_text())
+    ]
+    assert found == []
+
+
+# Names first released in numpy 2.0, by namespace, while `pyproject.toml`
+# declares numpy>=1.24: top-level functions, `numpy.linalg` functions
+# and the `.mT` array attribute.
+_NUMPY_2_NAMES = {
+    "numpy": {
+        "vecdot", "matvec", "vecmat", "matrix_transpose", "permute_dims", "concat", "astype",
+        "isdtype", "unique_all", "unique_counts", "unique_inverse", "unique_values",
+        "cumulative_sum", "cumulative_prod", "bitwise_count", "acos", "asin", "atan", "atan2",
+        "acosh", "asinh", "atanh", "pow", "bitwise_left_shift", "bitwise_right_shift",
+        "bitwise_invert",
+    },
+    "numpy.linalg": {
+        "vecdot", "matrix_norm", "vector_norm", "svdvals", "diagonal", "trace", "outer",
+        "cross", "tensordot", "matmul", "matrix_transpose",
+    },
+}
+
+
+def _dotted(node: ast.AST) -> str | None:
+    # `a.b.c` of an attribute chain on a bare name, else None.
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def numpy_2_uses(source: str) -> list[tuple[int, str]]:
+    """`(line, name)` of every numpy 2.x name the source uses.
+
+    An attribute of a name bound to `numpy` or `numpy.linalg` (through
+    `import numpy as np`, `import numpy.linalg as la` or
+    `from numpy import linalg`), a name imported from either, and any
+    `.mT` attribute are checked against `_NUMPY_2_NAMES`.
+    """
+    tree = ast.parse(source)
+    modules = {}  # local name -> the numpy module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    local = alias.asname or "numpy"
+                    modules[local] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and node.module in _NUMPY_2_NAMES:
+            for alias in node.names:
+                if alias.name in _NUMPY_2_NAMES[node.module]:
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+                elif f"{node.module}.{alias.name}" in _NUMPY_2_NAMES:
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "mT":
+            found.append((node.lineno, ".mT"))
+            continue
+        head, _, rest = (_dotted(node.value) or "").partition(".")
+        if head not in modules:
+            continue
+        module = f"{modules[head]}.{rest}" if rest else modules[head]
+        if node.attr in _NUMPY_2_NAMES.get(module, ()):
+            found.append((node.lineno, f"{module}.{node.attr}"))
+    return sorted(found)
+
+
+def test_numpy_2_scanner_flags_only_new_names():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy import linalg, vecdot\n"
+        "from numpy.linalg import norm, vector_norm\n"
+        "np.vecdot(a, b)\n"
+        "np.einsum('i,i', a, b)\n"
+        "np.linalg.matrix_norm(a)\n"
+        "np.linalg.norm(a) + np.outer(a, b) + np.trace(a) + pow(2, 3)\n"
+        "la.svdvals(a) + linalg.outer(a, b) + linalg.eigh(a)\n"
+        "a.mT + a.astype(float) + a.T\n"
+    )
+    assert numpy_2_uses(source) == [
+        (3, "numpy.vecdot"),
+        (4, "numpy.linalg.vector_norm"),
+        (5, "numpy.vecdot"),
+        (7, "numpy.linalg.matrix_norm"),
+        (9, "numpy.linalg.outer"),
+        (9, "numpy.linalg.svdvals"),
+        (10, ".mT"),
+    ]
+
+
+def test_package_needs_no_numpy_2_name():
+    # `np.vecdot` once reached review before its numpy 2.0 floor was seen.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE
+        for line, name in numpy_2_uses(path.read_text())
     ]
     assert found == []

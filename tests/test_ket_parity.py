@@ -13,8 +13,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcap
-from qcap import Channel, Ensemble, SolverConfig
-from support import assert_same_runs, every_start, patched, product, replacement_channel
+from qcap import Ensemble, SolverConfig
+from support import (
+    assert_same_runs,
+    every_start,
+    patched,
+    product,
+    replacement_channel,
+    weyl_depolarizing,
+)
 
 # Where a dual image's top has a gap, both kets lie within rounding of
 # the exact one (`eps * radius / gap` each; inverse iteration adds at most
@@ -67,16 +74,6 @@ def test_qutrit_replacement_channel():
     res = qcap.multi_start(ch, SolverConfig(seed=3))
     assert_allclose(res.ensemble.states, np.tile(np.diag([0.0, 0.0, 1.0]), (9, 1, 1)), atol=0)
     assert abs(res.capacity) <= TOL
-
-
-def weyl_depolarizing(p):
-    # `(1 - p) rho + p I/3` from the nine Weyl operators `X^a Z^b`.
-    omega = np.exp(2j * np.pi / 3)
-    X = np.roll(np.eye(3), 1, axis=0)
-    Z = np.diag(omega ** np.arange(3))
-    weyl = [np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b) for a in range(3) for b in range(3)]
-    coef = np.sqrt([1 - 8 * p / 9] + [p / 9] * 8)
-    return Channel(np.array([c * W for c, W in zip(coef, weyl)]))
 
 
 def test_qutrit_depolarizing_channel():

@@ -6,6 +6,8 @@ how its generators are written: adding a cancelling pair `(a W, +1)`,
 leaves both as they are.  The maps are seeded, and each base channel
 takes a different path: amplitude damping is a CP qubit map (the Pauli
 step), `gamma3` is not CP, and `gamma5` is a qutrit map (the ket step).
+An exact pair leaves the channel when it is built, so every reader of
+the generators, the size budget included, sees the base map bit for bit.
 
 Capacity itself obeys two more relations: it does not depend on the
 order of a product's factors, and processing data cannot raise it,
@@ -21,8 +23,19 @@ import numpy as np
 import pytest
 
 import qcap
-from qcap import Channel, SolverConfig, choi, entanglement, multi_start, validate
-from support import product
+from qcap import (
+    Channel,
+    SolverConfig,
+    apply,
+    choi,
+    dual_apply,
+    entanglement,
+    multi_start,
+    tensor,
+    validate,
+)
+from qcap.cli import _require_budget
+from support import PAULI_X, PAULI_Z, product, random_density, random_hermitian
 
 # Amplitude damping at gamma = 0.3.
 AMPLITUDE_DAMPING = np.array(
@@ -69,10 +82,49 @@ def test_rewritten_generators_keep_verdict_and_capacity(name, how):
     assert abs(res.capacity - base.capacity) <= tol
     if how.startswith("pair-"):
         # A pair of bit-identical generators with opposite signs cancels
-        # exactly, so it leaves the map's Choi operator, and every solve
-        # built on it, as the base channel's.
+        # exactly, so it leaves the channel when the channel is built, and
+        # every reader of the generators sees the base channel's, bit for bit.
+        assert new.kraus.tobytes() == ch.kraus.tobytes()
+        assert new.signs.tobytes() == ch.signs.tobytes()
+        assert after == before
         assert choi(new).tobytes() == choi(ch).tobytes()
+        rng = np.random.default_rng(4)
+        rho = random_density(rng, ch.dim_in)
+        Y = random_hermitian(rng, ch.dim_out)
+        assert apply(new, rho).tobytes() == apply(ch, rho).tobytes()
+        assert dual_apply(new, Y).tobytes() == dual_apply(ch, Y).tobytes()
+        g1 = qcap.fixture_channel("gamma1")
+        assert tensor(new, g1)._transfer.tobytes() == tensor(ch, g1)._transfer.tobytes()
         assert (res.capacity, res.iterations_used) == (base.capacity, base.iterations_used)
+
+
+@pytest.mark.parametrize("how", ["pair-1e4", "pair-1e5"])
+def test_cancelling_pair_cannot_hide_a_non_cp_part(how):
+    # Amplitude damping plus the non-CP part `(b X, -1)`, `(b Z, +1)` at
+    # b = 1e-3 is exactly trace preserving, with Choi eigenvalue -1.0e-6.
+    # Were the pair's generators counted, the rounding allowance
+    # `4 eps sum_k ||V_k||_F^2` would reach 3.6e-5 at a = 1e5 and pass that
+    # eigenvalue; the channel drops the pair, so the report is the base
+    # map's, field by field.
+    X, Z = PAULI_X * 1e-3, PAULI_Z * 1e-3
+    ch = Channel(np.concatenate([AMPLITUDE_DAMPING, [X, Z]]), [1.0, 1.0, -1.0, 1.0])
+    report = validate(rewritten(ch, how))
+    assert not report.cp_ok
+    assert report == validate(ch)
+
+
+def test_cancelling_pairs_leave_the_size_budget():
+    # Four factors of six generators would make 6^4 > 256 products; less
+    # the pair each has gamma1's four, and 4^4 = 256 is within the budget.
+    g1 = rewritten(qcap.fixture_channel("gamma1"), "pair-1e4")
+    assert g1.n_generators == 4
+    _require_budget([g1] * 4)
+
+
+def test_a_stack_that_cancels_entirely_is_refused():
+    W = AMPLITUDE_DAMPING[0]
+    with pytest.raises(ValueError, match="all cancel in pairs"):
+        Channel([W, W, 2 * W, 2 * W], [1.0, -1.0, -1.0, 1.0])
 
 
 def compose(outer, inner):
