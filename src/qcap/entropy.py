@@ -167,10 +167,8 @@ def _schmidt_terms(kets: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     # pure: then `D(s || s^A (x) s^B) = 2 S(smaller marginal)`, and that
     # marginal is `M M'` with `M` the ket as a (min, max) matrix, so one
     # small eigvalsh replaces three.  Its spectrum is clipped to [0, 1],
-    # which removes only rounding and leaves every term nonnegative.
-    d = kets.shape[-1]
-    if d != dim_a * dim_b:
-        raise ValueError(f"ensemble dimension {d} does not split as {dim_a}x{dim_b}")
+    # which removes only rounding and leaves every term nonnegative.  The
+    # split is not checked: `_iterate` checked it on the initial states.
     M = kets.reshape(-1, dim_a, dim_b)
     if dim_a > dim_b:
         M = M.swapaxes(1, 2)

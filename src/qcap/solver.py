@@ -27,7 +27,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,9 +137,9 @@ class CapacityResult:
 
 
 class _Finish(NamedTuple):
-    # One start's end as `_iterate` leaves it, unvalidated: its weights, its
-    # states as the stack holds them, and its trace as lists, the last value
-    # being its capacity.
+    # One start's end as `_iterate` returns it, unvalidated: its weights, its
+    # (n, d, d) states, and its trace as lists, the last value being its
+    # capacity.
     weights: np.ndarray
     states: np.ndarray
     converged: bool
@@ -147,11 +147,10 @@ class _Finish(NamedTuple):
     ents: list[float] | None
 
 
-def _result(end: _Finish, start_index: int, to_states: Callable) -> CapacityResult:
-    # The validated `CapacityResult` of one end, its states made matrices by
-    # the solve's `to_states` (`_iterate`): only the one a solve returns is
-    # built.
-    pi = Ensemble(end.weights, to_states(end.states))
+def _result(end: _Finish, start_index: int) -> CapacityResult:
+    # The validated `CapacityResult` of one end: only the one a solve
+    # returns is validated.
+    pi = Ensemble(end.weights, end.states)
     trace = IterationTrace(np.array(end.values), None if end.ents is None else np.array(end.ents))
     return CapacityResult(end.values[-1], pi, end.converged, len(end.values), start_index, trace)
 
@@ -376,13 +375,12 @@ def _iterate(
     states: np.ndarray,
     cfg: SolverConfig,
     ent_dims: tuple[int, int] | None = None,
-) -> tuple[list[_Finish], Callable]:
+) -> list[_Finish]:
     """Iterate the starts `(weights[i], states[i])` as one stack; one end each.
 
     `weights` is an (s, n) stack and `states` an (s, n, d, d) one, taken
     as valid ensembles (`run` and `multi_start` build them so).  Returns
-    the ends and the one map that turns the states they hold into
-    matrices.
+    one end per start, its states as (n, d, d) matrices.
 
     Each iteration takes the mutual information and ascent operators of
     all starts from one eigh of their outputs and averages together.
@@ -399,10 +397,11 @@ def _iterate(
     Hermitian coordinates (`linalg._herm_coords`) and mapped by the
     channel's real transfer matrix, so the step makes no complex matrix
     product outside its eigensolvers.  After the first update the stack
-    is held as kets, and a state matrix is built only for a returned
-    result.  The tracked entanglement of the initial states, which may be
-    mixed, takes the general form; that of every later stack takes the
-    pure-state Schmidt form, one small eigvalsh per update.
+    is held as kets, and every end's states become matrices in one call
+    once the last start has ended.  The tracked entanglement of the
+    initial states, which may be mixed, takes the general form; that of
+    every later stack takes the pure-state Schmidt form, one small
+    eigvalsh per update.
 
     Every `MERGE_EVERY` updates, `_merge` takes the starts one at a time
     and merges the kets of each that coincide within `MERGE_TOL` (after
@@ -431,11 +430,6 @@ def _iterate(
         op, coords = ch._transfer, _herm_coords
         entropy_and_log, ascend = _entropy_and_log, _ascend
         to_states = _projectors
-    # A start ends before its first update only at `max_iters` 1, since
-    # `resolved` keeps `patience` at 2 or more, and then every start does:
-    # its states are still the initial matrices.
-    if cfg.max_iters == 1:
-        to_states = np.asarray
     outs = coords(states) @ op.T  # what the step applies: the real transfer matrix
     if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
@@ -487,7 +481,10 @@ def _iterate(
             weights, pure, outs = _merge(weights, pure, outs, rows, groups, shares)
         if ent_dims is not None:
             terms = _schmidt_terms(pure, *ent_dims)
-    return finished, to_states
+    if pure is None:  # no update ran: the ends hold their initial matrices
+        return finished
+    mats = to_states(np.array([end.states for end in finished]))
+    return [end._replace(states=m) for end, m in zip(finished, mats)]
 
 
 def run(
@@ -510,8 +507,7 @@ def run(
     if init.dim != ch.dim_in:
         raise ValueError(f"initial ensemble dimension {init.dim} != channel input {ch.dim_in}")
     cfg = dataclasses.replace(config, n_states=init.n_states).resolved(ch)
-    ends, to_states = _iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)
-    return _result(ends[0], 0, to_states)
+    return _result(_iterate(ch, init.weights[None], init.states[None], cfg, ent_dims)[0], 0)
 
 
 def ab_step(pi: Ensemble, ch: Channel, cfg: SolverConfig = SolverConfig()) -> Ensemble:
@@ -547,9 +543,9 @@ def multi_start(
     """
     cfg = config.resolved(ch)
     weights, states = _starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    ends, to_states = _iterate(ch, weights, states, cfg, ent_dims)
+    ends = _iterate(ch, weights, states, cfg, ent_dims)
     best = 0
     for i, end in enumerate(ends):
         if end.values[-1] > ends[best].values[-1] + START_TIE_NATS:
             best = i
-    return _result(ends[best], best, to_states)
+    return _result(ends[best], best)

@@ -271,6 +271,14 @@ def weyl_depolarizing(p):
     return Channel(np.array([c * W for c, W in zip(coef, weyl)]))
 
 
+def werner_holevo(d):
+    """`(I Tr rho - rho^T) / (d - 1)`, from `(|i><j| - |j><i|) / sqrt(d - 1)`, i < j."""
+    e = np.eye(d)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    kraus = [np.outer(e[i], e[j]) - np.outer(e[j], e[i]) for i, j in pairs]
+    return Channel(np.array(kraus) / np.sqrt(d - 1))
+
+
 def product(*names):
     """Tensor product of the named fixture channels, in order."""
     return functools.reduce(tensor, [qcap.fixture_channel(name) for name in names])
@@ -280,8 +288,8 @@ def every_start(ch, config, ent_dims=None):
     """The results of every start `multi_start` makes, each validated."""
     cfg = config.resolved(ch)
     starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
-    ends, to_states = qcap.solver._iterate(ch, *starts, cfg, ent_dims)
-    return [qcap.solver._result(end, i, to_states) for i, end in enumerate(ends)]
+    ends = qcap.solver._iterate(ch, *starts, cfg, ent_dims)
+    return [qcap.solver._result(end, i) for i, end in enumerate(ends)]
 
 
 def patched(solve, **replacements):

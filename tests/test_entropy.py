@@ -317,7 +317,3 @@ class TestEntanglement:
         terms = qcap.entropy._schmidt_terms(np.einsum("na,nb->nab", a, b).reshape(20, 6), 2, 3)
         assert np.all(terms >= 0)
         assert terms.max() <= 1e-12
-
-    def test_schmidt_form_rejects_bad_split(self):
-        with pytest.raises(ValueError, match="split"):
-            qcap.entropy._schmidt_terms(np.ones((1, 4)) / 2, 2, 3)

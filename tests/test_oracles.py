@@ -8,11 +8,20 @@
   It takes the ket step.
 - Two copies of a qubit depolarizing channel D: `C(D (x) D) = 2 C(D)`
   (King, quant-ph/0204172), on the ket step at d = 4.
+- The Werner-Holevo qutrit `(I - rho^T) / 2`: covariant, with minimal
+  output entropy log 2, so `C = log 3 - log 2` (Werner-Holevo,
+  quant-ph/0203003).  It takes the ket step.
+- The measure-and-prepare qubit map E with generators `|0><0|` and
+  `|+><1|`, entanglement breaking: `C(E) = h((1 + 1/sqrt 2) / 2)`, the
+  entropy of the average of its two equiprobable outputs, and
+  `C(E (x) G) = C(E) + C(G)` for every G (Shor, quant-ph/0201149).
 
 Every bound is one-sided from `I(pi) <= C`: a reported capacity is the
 mutual information of the ensemble the solver returns, so it lies above
 C by rounding alone, and the stop rule, which settles `decimal_places`
-decimals of it, leaves it at most `10 ** -decimal_places` below C.
+decimals of it, leaves it at most `10 ** -decimal_places` below C.  The
+sum rule compares three such solves, so its bound on `c(E (x) G) - c(E)
+- c(G)` is two-sided.
 """
 
 import numpy as np
@@ -20,7 +29,7 @@ import pytest
 
 import qcap
 from qcap import AffineQubit, Channel, SolverConfig, affine_to_channel, multi_start, tensor, validate
-from support import PAULIS, binary_entropy, weyl_depolarizing
+from support import PAULIS, binary_entropy, werner_holevo, weyl_depolarizing
 
 CONFIG = SolverConfig(seed=3)
 BELOW = 10.0 ** -CONFIG.decimal_places
@@ -87,3 +96,32 @@ def test_two_depolarizing_copies_double_the_capacity(p):
     C = np.log(2) - binary_entropy(1 - p / 2)  # Bloch radius 1 - p
     assert_capacity(D, C)
     assert_capacity(tensor(D, D), 2 * C)
+
+
+def test_werner_holevo_qutrit_capacity():
+    ch = werner_holevo(3)
+    assert validate(ch).passed and not qcap.solver._pauli_path(ch, None)
+    assert_capacity(ch, np.log(3 / 2))
+
+
+# Measure in the computational basis, prepare |0> or |+>.
+KET_0, KET_1, KET_PLUS = np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / np.sqrt(2)
+MEASURE_PREPARE = Channel(np.array([np.outer(KET_0, KET_0), np.outer(KET_PLUS, KET_1)]))
+
+
+def test_measure_prepare_capacity():
+    assert validate(MEASURE_PREPARE).passed
+    assert_capacity(MEASURE_PREPARE, binary_entropy((1 + 1 / np.sqrt(2)) / 2))
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma5", "gamma6"])
+def test_entanglement_breaking_factor_adds_its_capacity(name):
+    E, G = MEASURE_PREPARE, qcap.fixture_channel(name)
+    EG = tensor(E, G)
+    c_EG, c_E, c_G = (multi_start(ch, CONFIG).capacity for ch in (EG, E, G))
+    gap = c_EG - c_E - c_G
+    # Each solve lies in [C - BELOW, C + above] of its own channel (module
+    # docstring), and C(E (x) G) = C(E) + C(G), so the gap is at least the
+    # product's shortfall less both factors' excesses, and at most the
+    # product's excess plus both factors' shortfalls.
+    assert -BELOW - above(E) - above(G) <= gap <= above(EG) + 2 * BELOW

@@ -299,6 +299,31 @@ class TestRun:
             assert res.iterations_used == 3
             assert len(res.trace) == 3
 
+    @pytest.mark.parametrize("name", BOTH_PATHS)
+    def test_one_iteration_returns_the_start_itself(self, name):
+        # The stop rule is read before each update, so at `max_iters` 1 no
+        # update runs and the start comes back as it went in.
+        ch = qcap.fixture_channel(name)
+        init = initial_ensemble(ch.dim_in, ch.dim_in**2, 0, 1)
+        res = run(ch, init, SolverConfig(max_iters=1))
+        assert res.iterations_used == 1 and not res.converged
+        assert np.array_equal(res.ensemble.weights, init.weights)
+        assert np.array_equal(res.ensemble.states, init.states)
+
+    @pytest.mark.parametrize("name", BOTH_PATHS)
+    def test_bad_split_raises_before_any_iteration(self, monkeypatch, name):
+        ch = qcap.fixture_channel(name)
+
+        def no_iteration(*args):
+            raise AssertionError("iterated")
+
+        monkeypatch.setattr(qcap.solver, "_holevo_terms", no_iteration)
+        init = initial_ensemble(ch.dim_in, ch.dim_in**2, 0, 1)
+        with pytest.raises(ValueError, match="does not split"):
+            multi_start(ch, ent_dims=(2, 2))
+        with pytest.raises(ValueError, match="does not split"):
+            run(ch, init, ent_dims=(3, 3))
+
     def test_trace_has_one_row_per_iteration(self):
         res = run(qcap.fixture_channel("gamma1"), initial_ensemble(2, 4, 0, 0))
         assert len(res.trace) == res.iterations_used
@@ -546,9 +571,8 @@ class TestMultiStart:
         capacities = [0.5, 0.5 + gain]
 
         def fake_iterate(ch, weights, states, cfg, ent_dims=None):
-            ends = [qcap.solver._Finish(w, S, True, [c], None)
+            return [qcap.solver._Finish(w, S, True, [c], None)
                     for c, w, S in zip(capacities, weights, states)]
-            return ends, np.asarray
 
         monkeypatch.setattr(qcap.solver, "_iterate", fake_iterate)
         res = multi_start(qcap.fixture_channel("gamma1"), SolverConfig(starts=2))
@@ -568,6 +592,29 @@ class TestMultiStart:
         monkeypatch.setattr(Ensemble, "__post_init__", counted)
         res = multi_start(ch, SolverConfig(seed=3))
         assert built == [res.ensemble]
+
+    @pytest.mark.parametrize("names", [("gamma1",), ("gamma5",), ("gamma1",) * 3])
+    def test_every_end_holds_state_matrices(self, monkeypatch, names):
+        # The Pauli step holds coordinates and the ket step kets; three
+        # copies of gamma1 also merge their kets.  Every end the kernel
+        # returns holds complex (n, d, d) states all the same.
+        merge, shrunk = qcap.solver._merge, []
+
+        def spied(weights, *args):
+            out = merge(weights, *args)
+            shrunk.append(out[0].shape[1] < weights.shape[1])
+            return out
+
+        monkeypatch.setattr(qcap.solver, "_merge", spied)
+        ch = product(*names)
+        cfg = SolverConfig(starts=2, seed=3).resolved(ch)
+        starts = qcap.solver._starts(ch.dim_in, cfg.n_states, cfg.seed, range(cfg.starts))
+        ends = qcap.solver._iterate(ch, *starts, cfg)
+        assert len(ends) == cfg.starts
+        assert any(shrunk) or len(names) == 1
+        for end in ends:
+            assert end.states.dtype == complex
+            assert end.states.shape == (cfg.n_states, ch.dim_in, ch.dim_in)
 
     @pytest.mark.parametrize("pair", [("gamma4",), ("gamma2", "gamma4")])
     def test_batched_starts_equal_solo_runs(self, pair):
