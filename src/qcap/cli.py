@@ -18,6 +18,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import itertools
@@ -35,6 +36,28 @@ from .solver import MAX_DECIMAL_PLACES, CapacityResult, SolverConfig, multi_star
 
 # Not called here, but bench/tracing.py wraps this binding, so it stays.
 from .channels import tp_residual  # noqa: F401
+
+# glibc's `mallopt` parameters (malloc.h) and the values `main` gives them.
+# The ket step's temporaries are 0.1-1 MB each, and most come from eigh,
+# eigvalsh and solve, which allocate their outputs.  At glibc's defaults
+# each is mapped or trimmed and faulted back in on every iteration: 62k-93k
+# minor faults in a warm pass of the three qutrit `additivity` rows, and
+# 2-928 with these.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 16 << 20, 8 << 20
+
+
+@functools.cache
+def _steady_heap() -> None:
+    # Once per process: let the C heap, not fresh mappings, serve blocks
+    # below _MMAP_BYTES, and keep up to _TRIM_BYTES of free heap top.  The
+    # setting is process-wide, so the CLI makes it and `import qcap` never
+    # does.  Where the C library has no `mallopt`, nothing is set.
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
 
 
 def _require_budget(factors) -> None:
@@ -349,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _steady_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -21,12 +21,17 @@ LOG_FLOOR = 1e-12
 # `_top_kets` takes a ket by inverse iteration only on a row whose top
 # eigenvalue stands this far above the next one, relative to the row's
 # spectral radius; other rows (degenerate tops, multiples of the
-# identity) take eigh's ket.  Two inverse-iteration steps leave each
-# other eigenvector in the ket at about `(shift/gap)^2` of its size, so
-# at this gap and `_SHIFT_REL` below that is 1e-12 at most.
+# identity) take eigh's ket.  Each inverse-iteration step shrinks every
+# other eigenvector in the ket by about `shift/gap`, at most 1e-6 at this
+# gap and `_SHIFT_REL` below, so two steps from a fixed start leave
+# 1e-12 of it at most.
 TOP_GAP_REL = 1e-6
 # ... and only while the unit ket's residual `|Hx - lambda x|` stays below
-# this share of the radius; eigh's own kets leave about 1e-15.
+# this share of the radius; eigh's own kets leave about 1e-15.  A ket
+# taken in one step from a warm start (the row's previous ket) must meet
+# a tenth of it, since a residual r leaves up to `r/gap` of the other
+# eigenvectors and one step is not yet at rounding; a row that misses
+# takes a second step, held to the full share.
 TOP_RESIDUAL_REL = 1e-12
 # Inverse iteration shifts the top eigenvalue up by this share of the
 # radius.  A shift of a few ulps let an LU pivot round to exactly 0 (on a
@@ -94,37 +99,45 @@ def herm_eig(H: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w, V)
 
 
-def _top_kets(H: np.ndarray) -> np.ndarray:
+def _top_kets(H: np.ndarray, start: np.ndarray | None) -> np.ndarray:
     # Unit kets of the top eigenvalue of each matrix of an (m, d, d)
     # Hermitian stack, as an (m, d) array; each ket is fixed up to phase.
     # One eigvalsh gives every row's top eigenvalue `lam`, the gap below it
-    # and its radius; two steps of inverse iteration on `H - (lam + shift)`
-    # then give the ket.  A row whose gap or residual fails the checks
-    # above takes the last column of eigh instead, the ket eigh would give
-    # in any case (for a multiple of the identity, |d-1>).  No solve runs
-    # on a row without a gap, so none is singular.
+    # and its radius; inverse iteration on `H - (lam + shift)` then gives
+    # the ket.  With no `start`, it takes two steps from a fixed vector.
+    # Given an (m, d) stack of unit starts (the kets of the previous
+    # update, which converging rows barely move), it takes one step and
+    # a second only on the rows whose residual misses the warm gate
+    # above.  A row whose gap or residual fails the checks above takes
+    # the last column of eigh instead, the ket eigh would give in any case
+    # (for a multiple of the identity, |d-1>).  No solve runs on a row
+    # without a gap, so none is singular.
     m, d = H.shape[0], H.shape[-1]
     if d == 1:
         return np.ones((m, 1), dtype=complex)
     w = np.linalg.eigvalsh(H)
     lam = w[:, -1]
     radius = np.maximum(-w[:, 0], lam)
-    shift = _SHIFT_REL * radius
     kets = np.empty((m, d), dtype=complex)
     rows = np.flatnonzero(lam - w[:, -2] > TOP_GAP_REL * radius)
     if rows.size:
-        shift_r = shift[rows, None]
+        shift = _SHIFT_REL * radius[rows, None]
         A = H[rows]  # a copy, shifted on its diagonal in place
-        A.reshape(-1, d * d)[:, :: d + 1] -= lam[rows, None] + shift_r
-        # A fixed start with no structure, so that no symmetry of H makes it
-        # orthogonal to the top ket.  Each right-hand side is scaled by its
-        # row's shift, which keeps the solutions near unit length.
-        x = np.exp(1j * np.arange(d)) / np.sqrt(d)
-        for _ in range(2):
-            x = np.linalg.solve(A, (shift_r * x)[..., None])[..., 0]
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-        # `Hx - lam x`, read off the shifted matrix.
-        residual = np.linalg.norm((A @ x[..., None])[..., 0] + shift_r * x, axis=1)
+        A.reshape(-1, d * d)[:, :: d + 1] -= lam[rows, None] + shift
+        if start is None:
+            # A fixed start with no structure, so that no symmetry of H makes
+            # it orthogonal to the top ket.
+            x = np.exp(1j * np.arange(d)) / np.sqrt(d)
+            x = _inverse_step(A, shift, _inverse_step(A, shift, x))
+            residual = _shifted_residual(A, shift, x)
+        else:
+            x = _inverse_step(A, shift, start[rows])
+            residual = _shifted_residual(A, shift, x)
+            redo = np.flatnonzero(residual > TOP_RESIDUAL_REL / 10 * radius[rows])
+            if redo.size:
+                A, shift = A[redo], shift[redo]
+                x[redo] = _inverse_step(A, shift, x[redo])
+                residual[redo] = _shifted_residual(A, shift, x[redo])
         good = residual <= TOP_RESIDUAL_REL * radius[rows]
         rows = rows[good]
         kets[rows] = x[good]
@@ -133,6 +146,20 @@ def _top_kets(H: np.ndarray) -> np.ndarray:
     if rest.any():
         kets[rest] = np.linalg.eigh(H[rest])[1][..., -1]
     return kets
+
+
+def _inverse_step(A: np.ndarray, shift: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # One step of inverse iteration on the shifted (r, d, d) stack A from
+    # the kets x, normalized.  Each right-hand side is scaled by its row's
+    # (r, 1) shift, which keeps the solutions near unit length.
+    x = np.linalg.solve(A, (shift * x)[..., None])[..., 0]
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
+
+
+def _shifted_residual(A: np.ndarray, shift: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # `|Hx - lam x|` of each unit ket, read off the shifted matrix.
+    return np.linalg.norm((A @ x[..., None])[..., 0] + shift * x, axis=1)
 
 
 def matrix_log_psd(P: np.ndarray) -> np.ndarray:
@@ -232,14 +259,17 @@ def _clamped_logs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _entropy_and_log(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One eigh of a (..., d*d) stack of Hermitian coordinates gives both the
     # entropies and the coordinates of the logs (`_clamped_logs`).  The
-    # phase convention is skipped (both are basis-independent).  The log's
-    # rounding-level anti-Hermitian part is not projected out;
-    # `_herm_coords` leaves it at that level.
+    # phase convention is skipped (both are basis-independent).  For
+    # eigenvectors `V = a + ib` and logs L, the log `V L V^dag` has
+    # coordinates `(a + b) L a' + (b - a) L b'` (as in `_pure_coords`): two
+    # real products in place of one complex one.
     w, V = np.linalg.eigh(_herm_operators(y))
     ents, logs = _clamped_logs(w)
-    scaled = V * logs[..., None, :]
-    np.conjugate(V, out=V)  # in place: one stack fewer at the step's memory peak
-    return ents, _herm_coords(scaled @ V.swapaxes(-1, -2))
+    a, b = V.real, V.imag
+    logs = logs[..., None, :]
+    P = ((a + b) * logs) @ a.swapaxes(-1, -2)
+    P += ((b - a) * logs) @ b.swapaxes(-1, -2)
+    return ents, P.reshape(*P.shape[:-2], -1)
 
 
 def _log_psd_batch(P: np.ndarray) -> np.ndarray:

@@ -254,20 +254,22 @@ def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble
     return Ensemble(weights[0], states[0])
 
 
-def _ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray):
+def _ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray, kets: np.ndarray | None):
     # The alternating update of every row of an (s, n) weight stack, given
     # the Hermitian coordinates (s, n, d_out^2) of its ascent operators and
     # the channel's real transfer matrix R: each state becomes the top
     # eigenvector of `G*(Phi_i)`, whose coordinates are `phi R`, and each
     # weight is rescaled by `exp(Tr[G(s_new_i) Phi_i])`, a dot product of
     # coordinates.  Only the top eigenpair is read, so the dual images take
-    # one eigvalsh and inverse iteration (`_top_kets`), not a full eigh.
-    # Returns the new weights, the (s, n, d) kets of the new states and
-    # the coordinates of their outputs, which the next iteration's Holevo
-    # terms take as given.
+    # one eigvalsh and inverse iteration (`_top_kets`), not a full eigh;
+    # the (s, n, d) kets of the stack's current states, None before the
+    # first update, are its warm starts.  Returns the new weights, the
+    # (s, n, d) kets of the new states and the coordinates of their
+    # outputs, which the next iteration's Holevo terms take as given.
     s, n, _ = phis.shape
     phis = phis.reshape(s * n, -1)
-    psi = _top_kets(_herm_operators(phis @ R))
+    start = None if kets is None else kets.reshape(s * n, -1)
+    psi = _top_kets(_herm_operators(phis @ R), start)
     outs = _pure_coords(psi) @ R.T
     scores = np.einsum("nj,nj->n", outs, phis).reshape(s, n)
     return _reweight(weights, scores), psi.reshape(s, n, -1), outs.reshape(s, n, -1)
@@ -385,12 +387,13 @@ def _iterate(
     Each iteration takes the mutual information and ascent operators of
     all starts from one eigh of their outputs and averages together.
     It updates them with one eigvalsh of the dual images, whose top kets
-    then come by inverse iteration (eigh only for a row with no gap below
-    its top), and one apply of the new states, whose outputs the next
-    iteration reuses.  A start that meets the stop rule (or `max_iters`)
-    leaves the stack with its end, held unvalidated (`_Finish`); the others
-    go on.  Starts never mix, so each end is the one the start would reach
-    alone.  `_result` turns the one end a solve returns into its validated
+    then come by inverse iteration from the current kets, one solve for
+    most rows (eigh only for a row with no gap below its top), and one
+    apply of the new states, whose outputs the next iteration reuses.  A
+    start that meets the stop rule (or `max_iters`) leaves the stack
+    with its end, held unvalidated (`_Finish`); the others go on.  Starts
+    never mix, so each end is the one the start would reach alone.
+    `_result` turns the one end a solve returns into its validated
     `CapacityResult`.
 
     Outputs, logs, ascent operators and dual images are held as real
@@ -424,13 +427,14 @@ def _iterate(
     pauli = _pauli_path(ch, ent_dims)
     if pauli:
         op, coords = ch._pauli_transfer, _pauli_coords
-        entropy_and_log, ascend = _pauli_entropy_and_log, _pauli_ascend
-        to_states = _pauli_operators
+        entropy_and_log, to_states = _pauli_entropy_and_log, _pauli_operators
     else:
         op, coords = ch._transfer, _herm_coords
-        entropy_and_log, ascend = _entropy_and_log, _ascend
-        to_states = _projectors
-    outs = coords(states) @ op.T  # what the step applies: the real transfer matrix
+        entropy_and_log, to_states = _entropy_and_log, _projectors
+    # What the step applies: the real transfer matrix, to every state of
+    # every start in one 2-D product, whose bits do not hang on how a BLAS
+    # splits a stack of products over its threads.
+    outs = (coords(states).reshape(s * n, -1) @ op.T).reshape(s, n, -1)
     if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
     pure = None  # the updated stack's kets or Pauli coordinates; until then `states`
@@ -474,8 +478,13 @@ def _iterate(
         if len(keep) < len(rows):
             rows = [rows[r] for r in keep]
             weights, phis = weights[keep], phis[keep]
+            if pure is not None:
+                pure = pure[keep]
         states = None  # the initial stack, read only until the first update
-        weights, pure, outs = ascend(op, weights, phis)
+        if pauli:
+            weights, pure, outs = _pauli_ascend(op, weights, phis)
+        else:  # the current kets, if any, are the warm starts
+            weights, pure, outs = _ascend(op, weights, phis, pure)
         del phis
         if not pauli and k % MERGE_EVERY == 0:
             weights, pure, outs = _merge(weights, pure, outs, rows, groups, shares)

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,23 @@ class TestAdditivity:
         assert lines[0] == "k,mutual_info_nats,ent_nats"
         last = lines[-1].split(",")
         assert float(last[2]) <= 1e-5
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lhs, rhs", [("gamma5", "gamma5"), ("gamma6", "gamma6"), ("gamma5", "gamma6")])
+def test_qutrit_reports_do_not_hang_on_the_blas_thread_count(lhs, rhs):
+    # OpenBLAS gives an 81 x 81 x 81 product different bits at one and two
+    # threads, so a step that ran the first update's outputs as a stack of
+    # such products printed different capacities at each count.  About 4 s
+    # a row.
+    reports = []
+    for threads in ("1", "2"):
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "qcap.cli", "additivity", "--lhs", lhs,
+                               "--rhs", rhs], capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
 
 
 class TestRegularized:
@@ -767,3 +785,61 @@ def test_start_stacks_drawn_once_across_commands(capsys):
 def test_no_command_exits_2():
     proc = qcap_cmd()
     assert proc.returncode == 2
+
+
+# `cli.main` raises glibc's mmap and trim thresholds once per process
+# (`cli._steady_heap`), so that the ket step's temporaries, which eigh,
+# eigvalsh and solve allocate afresh, stop being mapped or trimmed away and
+# faulted back in every iteration.  The setting is process-wide, so
+# `import qcap` must never make it and only the command line module names it.
+
+
+def run_script(script):
+    # `script` in a child at one BLAS thread; its stdout, split.
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_only_the_cli_names_mallopt():
+    package = sorted((ROOT / "src" / "qcap").glob("*.py"))
+    assert [path.name for path in package if "mallopt" in path.read_text()] == ["cli.py"]
+
+
+def test_heap_set_by_main_once_and_never_on_import():
+    # Every load of the C library is recorded: none on import, one on the
+    # first command and none on the next.
+    script = """
+import contextlib, ctypes, io
+loads = []
+real = ctypes.CDLL
+ctypes.CDLL = lambda *args, **kwargs: loads.append(args) or real(*args, **kwargs)
+import qcap, qcap.cli
+print(len(loads))
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qcap.cli.main(["validate", "--channel", "gamma1"]) == 0
+    print(len(loads))
+"""
+    assert run_script(script) == ["0", "1", "1"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_repeated_command_does_not_refault_its_heap():
+    # A short qutrit product solve, twice in one process: at glibc's
+    # defaults the second took 4,924 minor faults, with the thresholds
+    # about 100.
+    script = """
+import contextlib, io, resource
+from qcap import cli
+argv = ["additivity", "--lhs", "gamma5", "--rhs", "gamma5", "--max-iters", "20"]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    first, second = map(int, run_script(script))
+    assert second < 1000, (first, second)

@@ -38,7 +38,7 @@ TOL = 1e-12
 WEIGHT_TOL = 1e-10
 
 
-def eigh_top_kets(H):
+def eigh_top_kets(H, start):
     return np.linalg.eigh(H)[1][..., -1]
 
 
@@ -86,10 +86,10 @@ def test_qutrit_depolarizing_channel():
     tops = []
     top_kets = qcap.solver._top_kets
 
-    def recording(H):
+    def recording(H, start):
         w = np.linalg.eigvalsh(H)
         tops.append(w[:, -1] - w[:, -2] <= qcap.linalg.TOP_GAP_REL * np.abs(w).max(axis=1))
-        return top_kets(H)
+        return top_kets(H, start)
 
     patched(lambda: qcap.run(ch, init), _top_kets=recording)
     assert tops[0].tolist() == [True, False]

@@ -254,17 +254,22 @@ def test_hermitize_is_bit_identical_to_the_plain_formula(rng):
         assert np.array_equal(got, want)
 
 
-def top_kets_quietly(H):
+def top_kets_quietly(H, start=None):
     # Any floating-point warning, numpy's or Python's, fails the test.
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _top_kets(H)
+        return _top_kets(H, start)
+
+
+def random_kets(rng, n, d):
+    psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 class TestTopKets:
-    def check_against_eigh(self, H):
+    def check_against_eigh(self, H, start=None):
         # Returns the mask of rows whose top eigenvalue has a gap.
-        kets = top_kets_quietly(H)
+        kets = top_kets_quietly(H, start)
         w, V = np.linalg.eigh(H)
         ref = V[..., -1]
         radius = np.abs(w).max(axis=1)
@@ -326,3 +331,36 @@ class TestTopKets:
         H = random_hermitians(rng, 16, 5)
         monkeypatch.setattr(qcap.linalg, "TOP_RESIDUAL_REL", 0.0)
         assert np.array_equal(top_kets_quietly(H), np.linalg.eigh(H)[1][..., -1])
+
+    @pytest.mark.parametrize("d", [2, 3, 9, 16])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-3, 1e-8])
+    def test_warm_starts_near_the_top(self, rng, d, eps):
+        # A start off the top ket by eps takes one step when that meets the
+        # warm gate, a second when it does not; either way the ket must be
+        # as near eigh's as a cold one.
+        H = random_hermitians(rng, 64, d)
+        start = np.linalg.eigh(H)[1][..., -1] + eps * random_kets(rng, 64, d)
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        assert self.check_against_eigh(H, start).all()
+
+    @pytest.mark.parametrize("d", [2, 3, 9, 16])
+    def test_warm_start_orthogonal_to_the_top(self, rng, d):
+        # The exact second eigenvector holds none of the top ket: only the
+        # solve's rounding puts it there, and the residual gates catch a
+        # ket still short of it.
+        H = random_hermitians(rng, 64, d)
+        assert self.check_against_eigh(H, np.linalg.eigh(H)[1][..., -2]).all()
+
+    def test_start_at_the_top_takes_one_solve(self, rng, monkeypatch):
+        H = random_hermitians(rng, 64, 9)
+        start = np.linalg.eigh(H)[1][..., -1]
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(A, b):
+            calls.append(len(A))
+            return solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        assert self.check_against_eigh(H, start).all()
+        assert calls == [64]

@@ -37,9 +37,9 @@ def widths(solve):
     seen = []
     ascend = qcap.solver._ascend
 
-    def recording(ch, weights, phis):
+    def recording(ch, weights, phis, kets):
         seen.append(weights.shape[1])
-        return ascend(ch, weights, phis)
+        return ascend(ch, weights, phis, kets)
 
     return patched(solve, _ascend=recording), seen
 
