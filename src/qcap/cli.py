@@ -1,11 +1,10 @@
 """Command line front end.
 
 Subcommands: `capacity` (single channel), `additivity` (two channels and
-their product), `regularized` (per-copy capacity of N copies), `trace`
-(per-iteration CSV of one product-channel run), `validate` (channel
-descriptor checks).  Reports are JSON on stdout or in `--out`, traces
-are CSV.  Given identical inputs, flags and seed, every report is
-byte-identical.
+their product), `regularized` (per-copy capacity of N copies), `validate`
+(channel descriptor checks).  Reports are JSON on stdout or in `--out`,
+`--trace` files are per-iteration CSV.  Given identical inputs, flags and
+seed, every report is byte-identical.
 
 Exit codes:
 - 0 success;
@@ -105,14 +104,6 @@ def _channel(arg: str) -> Channel:
             file=sys.stderr,
         )
     return ch
-
-
-def _pair(args) -> tuple[Channel, Channel, Channel]:
-    # A self-pair (the paper's diagonal rows) is read and validated once.
-    lhs = _channel(args.lhs)
-    rhs = lhs if args.rhs == args.lhs else _channel(args.rhs)
-    _require_budget([lhs, rhs])
-    return lhs, rhs, tensor(lhs, rhs)
 
 
 def _config(args, ch: Channel) -> SolverConfig:
@@ -237,7 +228,16 @@ def _strict_exit(args, *results: CapacityResult) -> int:
     return 0
 
 
+def _require_distinct_files(args) -> None:
+    # A report written over its own trace would leave neither whole.
+    # `realpath` (unlike `Path.resolve`) raises nothing on a symlink loop;
+    # the write then fails as bad input.
+    if args.trace and args.out and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        raise ValueError(f"--trace and --out name the same file: {args.out}")
+
+
 def cmd_capacity(args) -> int:
+    _require_distinct_files(args)
     ch = _channel(args.channel)
     res = multi_start(ch, _config(args, ch))
     report = _result_fields(res)
@@ -248,7 +248,12 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_additivity(args) -> int:
-    lhs, rhs, prod = _pair(args)  # a self-pair is solved once too
+    _require_distinct_files(args)
+    # A self-pair (the paper's diagonal rows) is read, validated and solved once.
+    lhs = _channel(args.lhs)
+    rhs = lhs if args.rhs == args.lhs else _channel(args.rhs)
+    _require_budget([lhs, rhs])
+    prod = tensor(lhs, rhs)
     # --states and --starts size the product solve; the factors keep their defaults.
     cfg = _config(args, prod)
     marginal = dataclasses.replace(cfg, n_states=None, starts=None)
@@ -292,15 +297,6 @@ def cmd_regularized(args) -> int:
     )
     _emit(report, args.out)
     return _strict_exit(args, single, res)
-
-
-def cmd_trace(args) -> int:
-    lhs, rhs, prod = _pair(args)
-    # Start 0 alone; `--starts` is checked but not used.
-    cfg = dataclasses.replace(_config(args, prod), starts=1)
-    res = multi_start(prod, cfg, ent_dims=(lhs.dim_in, rhs.dim_in))
-    _emit(_trace_rows(res), args.out)
-    return _strict_exit(args, res)
 
 
 def cmd_validate(args) -> int:
@@ -356,12 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, default=2, help="number of copies (default 2)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_regularized)
-
-    p = sub.add_parser("trace", help="CSV trace of one product-channel run")
-    p.add_argument("--lhs", required=True, help="first channel (file or name)")
-    p.add_argument("--rhs", required=True, help="second channel (file or name)")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("validate", help="check a channel descriptor")
     p.add_argument("--channel", required=True, help="descriptor file or built-in name")

@@ -255,21 +255,39 @@ class TestAdditivity:
         assert float(last[2]) <= 1e-5
 
 
+BLAS_THREAD_COMMANDS = {
+    # id: argv; a `--trace` flag last takes a file whose CSV is compared too.
+    "gamma5-gamma5": ["additivity", "--lhs", "gamma5", "--rhs", "gamma5"],
+    "gamma6-gamma6": ["additivity", "--lhs", "gamma6", "--rhs", "gamma6"],
+    "gamma5-gamma6": ["additivity", "--lhs", "gamma5", "--rhs", "gamma6"],
+    "capacity-gamma5": ["capacity", "--channel", "gamma5"],
+    "capacity-gamma6": ["capacity", "--channel", "gamma6"],
+    "regularized-gamma1-3": ["regularized", "--channel", "gamma1", "--copies", "3"],
+    "gamma1-gamma5-trace": ["additivity", "--lhs", "gamma1", "--rhs", "gamma5", "--starts", "1",
+                            "--trace"],
+}
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("lhs, rhs", [("gamma5", "gamma5"), ("gamma6", "gamma6"), ("gamma5", "gamma6")])
-def test_qutrit_reports_do_not_hang_on_the_blas_thread_count(lhs, rhs):
+@pytest.mark.parametrize("case", sorted(BLAS_THREAD_COMMANDS))
+def test_qutrit_reports_do_not_hang_on_the_blas_thread_count(tmp_path, case):
     # OpenBLAS gives an 81 x 81 x 81 product different bits at one and two
     # threads, so a step that ran the first update's outputs as a stack of
-    # such products printed different capacities at each count.  About 4 s
-    # a row.
-    reports = []
+    # such products printed different capacities at each count.  The three
+    # qutrit product rows take about 4 s each; the single qutrits, three
+    # qubit copies and a traced qubit-qutrit product are checked too.
+    outputs = []
     for threads in ("1", "2"):
+        argv = list(BLAS_THREAD_COMMANDS[case])
+        trace = tmp_path / f"{threads}.csv"
+        if argv[-1] == "--trace":
+            argv.append(str(trace))
         env = {**child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-m", "qcap.cli", "additivity", "--lhs", lhs,
-                               "--rhs", rhs], capture_output=True, text=True, timeout=300, env=env)
+        proc = subprocess.run([sys.executable, "-m", "qcap.cli", *argv], capture_output=True,
+                              text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
-        reports.append(proc.stdout)
-    assert reports[0] == reports[1]
+        outputs.append((proc.stdout, trace.read_text() if trace.exists() else None))
+    assert outputs[0] == outputs[1]
 
 
 class TestRegularized:
@@ -343,13 +361,18 @@ class TestRegularized:
 
 
 class TestTrace:
-    def test_gamma2_pair_csv(self, tmp_path):
-        out = tmp_path / "t.csv"
-        proc = qcap_cmd(
-            "trace", "--lhs", "gamma2", "--rhs", "gamma2", "--seed", "0", "--out", str(out)
-        )
+    # The paper's per-iteration read of one product solve: start 0 alone,
+    # written by `additivity --starts 1 --trace FILE`.
+    @staticmethod
+    def trace_cmd(tmp_path, lhs, rhs, *flags):
+        out = tmp_path / f"{lhs}-{rhs}.csv"
+        argv = ["additivity", "--lhs", lhs, "--rhs", rhs, "--starts", "1", "--trace", str(out)]
+        proc = qcap_cmd(*argv, *flags)
         assert proc.returncode == 0, proc.stderr
-        lines = out.read_text().strip().splitlines()
+        return out.read_text()
+
+    def test_gamma2_pair_csv(self, tmp_path):
+        lines = self.trace_cmd(tmp_path, "gamma2", "gamma2", "--seed", "0").strip().splitlines()
         assert lines[0] == "k,mutual_info_nats,ent_nats"
         rows = [line.split(",") for line in lines[1:]]
         vals = [float(r[1]) for r in rows]
@@ -358,48 +381,37 @@ class TestTrace:
         assert ents[-1] <= 1e-5
         assert vals[-1] == pytest.approx(0.517358, abs=1e-4)
 
-    def test_stdout_when_no_out_flag(self):
-        proc = qcap_cmd("trace", "--lhs", "gamma1", "--rhs", "gamma1", "--seed", "3")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("k,mutual_info_nats,ent_nats")
-
     def test_reproducible_for_fixed_seed(self, tmp_path):
-        a = qcap_cmd("trace", "--lhs", "gamma1", "--rhs", "gamma2", "--seed", "5")
-        b = qcap_cmd("trace", "--lhs", "gamma1", "--rhs", "gamma2", "--seed", "5")
-        assert a.stdout == b.stdout
+        a = self.trace_cmd(tmp_path, "gamma1", "gamma2", "--seed", "5")
+        b = self.trace_cmd(tmp_path, "gamma1", "gamma2", "--seed", "5")
+        assert a == b
 
-    def test_entanglement_never_negative(self):
+    def test_entanglement_never_negative(self, tmp_path):
         # Row 1 is the initial states' general form; every later row comes
         # from the clipped Schmidt spectrum of the updated kets.
-        proc = qcap_cmd("trace", "--lhs", "gamma1", "--rhs", "gamma5", "--seed", "0")
-        assert proc.returncode == 0, proc.stderr
-        rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+        text = self.trace_cmd(tmp_path, "gamma1", "gamma5", "--seed", "0")
+        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
         assert len(rows) > 100
         assert all(float(r[2]) >= 0 for r in rows[1:])
 
-    def test_self_pair_reads_its_channel_once(self, capsys):
-        # As `additivity` does: one read, one warning, and the trace that
-        # naming the channel two ways (fixture and file) gives.
+    def test_self_pair_reads_its_channel_once(self, tmp_path, capsys):
+        # One read and one warning, and the trace that naming the channel
+        # two ways (fixture and file) gives.
         from qcap import cli
 
         runs = []
         for rhs in ("gamma3", str(CHANNEL_DIR / "gamma3.json")):
-            assert cli.main(["trace", "--lhs", "gamma3", "--rhs", rhs]) == 0
-            runs.append(capsys.readouterr())
-        (once, twice) = runs
-        assert once.err == (
+            trace = tmp_path / "trace.csv"
+            argv = ["additivity", "--lhs", "gamma3", "--rhs", rhs, "--starts", "1"]
+            assert cli.main([*argv, "--trace", str(trace)]) == 0
+            runs.append((capsys.readouterr().err, trace.read_text()))
+        (once, once_csv), (twice, twice_csv) = runs
+        assert once == (
             "warning: gamma3: not completely positive (min Choi eigenvalue -3.528336e-01); "
             "proceeding with its signed form\n"
         )
-        assert twice.err.count("warning:") == 2
-        assert once.out == twice.out
-
-    def test_starts_checked_though_unused(self, capsys):
-        # The trace runs start 0 alone, but a bad --starts is still refused.
-        from qcap import cli
-
-        assert cli.main(["trace", "--lhs", "gamma1", "--rhs", "gamma1", "--starts", "0"]) == 2
-        assert "starts" in capsys.readouterr().err
+        assert twice.count("warning:") == 2
+        assert once_csv == twice_csv
 
 
 class TestValidate:
@@ -487,7 +499,6 @@ BUDGET_CASES = {
     "validate-d17": ("validate", ["--channel"], 17, 1, "dimension budget (16)"),
     "capacity-257-generators": ("capacity", ["--channel"], 2, 257, "generator budget (256)"),
     "additivity-d5-pair": ("additivity", ["--lhs", "--rhs"], 5, 2, "dimension budget (16)"),
-    "trace-d5-pair": ("trace", ["--lhs", "--rhs"], 5, 2, "dimension budget (16)"),
 }
 
 
@@ -514,7 +525,6 @@ START_BUDGET_COMMANDS = {
     "capacity": ["capacity", "--channel", "gamma1"],
     "additivity": ["additivity", "--lhs", "gamma1", "--rhs", "gamma1"],
     "regularized": ["regularized", "--channel", "gamma1", "--copies", "2"],
-    "trace": ["trace", "--lhs", "gamma1", "--rhs", "gamma1"],
 }
 
 
@@ -522,7 +532,7 @@ START_BUDGET_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(START_BUDGET_COMMANDS))
 def test_start_stack_over_budget_exits_2(monkeypatch, capsys, command, flag):
     # 10**13 states or starts would need petabytes; the stack is refused
-    # before any solve, and `trace` checks the --starts it does not use.
+    # before any solve.
     from qcap import cli
 
     monkeypatch.setattr(cli, "multi_start", refuse("multi_start"))
@@ -640,6 +650,30 @@ def test_unusable_paths_exit_2(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error: ")
     assert bad[kind] in err
+
+
+@pytest.mark.parametrize("alias", ["same", "dotted", "symlink", "loop"])
+@pytest.mark.parametrize("command", ["capacity", "additivity"])
+def test_trace_and_out_naming_one_file_exit_2(tmp_path, monkeypatch, capsys, command, alias):
+    # A report written over its own trace would leave the report alone.
+    # The two paths are compared resolved, before anything is read or
+    # solved, and a symlink loop is refused as bad input, not a traceback.
+    from qcap import cli
+
+    (tmp_path / "sub").mkdir()
+    report = tmp_path / "run.out"
+    (tmp_path / "link").symlink_to(report)
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    trace = {"same": report, "dotted": tmp_path / "sub" / ".." / "run.out",
+             "symlink": tmp_path / "link", "loop": tmp_path / "loop"}[alias]
+    out = trace if alias == "loop" else report
+    argv = {"capacity": ["capacity", "--channel", "gamma1"],
+            "additivity": ["additivity", "--lhs", "gamma1", "--rhs", "gamma5"]}[command]
+    monkeypatch.setattr(cli, "fixture_channel", refuse("fixture_channel"))
+    monkeypatch.setattr(cli, "multi_start", refuse("multi_start"))
+    assert cli.main([*argv, "--trace", str(trace), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --trace and --out name the same file: {out}\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -780,6 +814,24 @@ def test_start_stacks_drawn_once_across_commands(capsys):
     # Misses: the qubit stack and the qutrit one.  Hits: two more qubit
     # files and the single-copy solve of `regularized`.
     assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+
+
+def test_subcommands_agree_in_parser_docstring_and_readme():
+    # A command added to or removed from the parser cannot be missed in the
+    # module docstring or in the README's "Command line" example block.
+    import argparse
+    import re
+
+    from qcap import cli
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    docstring = cli.__doc__.split("Subcommands:")[1].split(".  ")[0]
+    readme = (ROOT / "README.md").read_text().split("## Command line")[1]
+    block = readme.split("```sh")[1].split("```")[0]
+    documented = set(re.findall(r"`(\w+)`\s+\(", docstring))
+    shown = set(re.findall(r"^qcap (\w+)", block, re.M))
+    assert set(sub.choices) == documented == shown
+    assert documented == {"capacity", "additivity", "regularized", "validate"}
 
 
 def test_no_command_exits_2():
