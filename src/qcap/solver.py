@@ -36,7 +36,6 @@ from .entropy import Ensemble, _entanglement_terms, _holevo_terms, _schmidt_term
 from .linalg import (
     _entropy_and_log,
     _herm_coords,
-    _herm_operators,
     _pauli_entropy_and_log,
     _pure_coords,
     _top_kets,
@@ -254,22 +253,26 @@ def initial_ensemble(dim: int, n_states: int, seed: int, index: int) -> Ensemble
     return Ensemble(weights[0], states[0])
 
 
-def _ascend(R: np.ndarray, weights: np.ndarray, phis: np.ndarray, kets: np.ndarray | None):
+def _ascend(
+    R: np.ndarray, weights: np.ndarray, phis: np.ndarray, kets: np.ndarray | None, tops: np.ndarray
+):
     # The alternating update of every row of an (s, n) weight stack, given
     # the Hermitian coordinates (s, n, d_out^2) of its ascent operators and
     # the channel's real transfer matrix R: each state becomes the top
-    # eigenvector of `G*(Phi_i)`, whose coordinates are `phi R`, and each
-    # weight is rescaled by `exp(Tr[G(s_new_i) Phi_i])`, a dot product of
-    # coordinates.  Only the top eigenpair is read, so the dual images take
-    # one eigvalsh and inverse iteration (`_top_kets`), not a full eigh;
-    # the (s, n, d) kets of the stack's current states, None before the
-    # first update, are its warm starts.  Returns the new weights, the
-    # (s, n, d) kets of the new states and the coordinates of their
-    # outputs, which the next iteration's Holevo terms take as given.
+    # eigenvector of `G*(Phi_i)`, whose coordinates are `y = phi R`, and
+    # each weight is rescaled by `exp(Tr[G(s_new_i) Phi_i])`, a dot product
+    # of coordinates.  Only the top eigenpair is read, so the dual images'
+    # top kets come from `_top_kets`, not a full eigh: the (s, n, d) kets of
+    # the stack's current states, None before the first update, are its
+    # warm starts, and `tops`, the (s, n, d^2 + 3) C-ordered record of each
+    # row's previous image and spectral bounds, is rewritten in place.
+    # Returns the new weights, the (s, n, d) kets of the new states and the
+    # coordinates of their outputs, which the next iteration's Holevo terms
+    # take as given.
     s, n, _ = phis.shape
     phis = phis.reshape(s * n, -1)
     start = None if kets is None else kets.reshape(s * n, -1)
-    psi = _top_kets(_herm_operators(phis @ R), start)
+    psi = _top_kets(phis @ R, start, tops.reshape(s * n, -1))
     outs = _pure_coords(psi) @ R.T
     scores = np.einsum("nj,nj->n", outs, phis).reshape(s, n)
     return _reweight(weights, scores), psi.reshape(s, n, -1), outs.reshape(s, n, -1)
@@ -305,7 +308,7 @@ def _merge_roots(kets: np.ndarray) -> np.ndarray | None:
     return root
 
 
-def _merge(weights, kets, outs, rows, groups, shares):
+def _merge(weights, kets, tops, outs, rows, groups, shares):
     # Merge each start's coincident kets (`_merge_roots`, one start at a
     # time) into their lowest one, with the sum of their weights.  The
     # update reads a state only through its own output and the shared
@@ -315,15 +318,17 @@ def _merge(weights, kets, outs, rows, groups, shares):
     # that row's weight.  The stack shrinks to the widest start's group
     # count; a narrower start is padded with zero-weight copies of its
     # first ket, whose weight stays zero and whose score equals that
-    # ket's, and which no later merge reads.  If no start merges, the
-    # stack is returned as it is.  Batching the starts would save little at
-    # one merge per MERGE_EVERY updates: on one core this loop spent 15 ms
-    # of a 1.0 s five-start `gamma1^(x)3` solve, as the batched form did,
-    # and 20 ms against its 16 ms of a 2.0 s `gamma5 (x) gamma6` one.
+    # ket's, and which no later merge reads.  Every kept or padded row
+    # takes its ket's `_top_kets` record (`tops`) along.  If no start
+    # merges, the stack is returned as it is.  Batching the starts would
+    # save little at one merge per MERGE_EVERY updates: on one core this
+    # loop spent 15 ms of a 1.0 s five-start `gamma1^(x)3` solve, as the
+    # batched form did, and 20 ms against its 16 ms of a 2.0 s
+    # `gamma5 (x) gamma6` one.
     sizes = [groups[idx].max() + 1 for idx in rows]
     roots = [_merge_roots(kets[row, :size]) for row, size in enumerate(sizes)]
     if all(root is None for root in roots):
-        return weights, kets, outs
+        return weights, kets, tops, outs
     kept = []  # per start: its groups' lowest kets and summed weights
     for row, (idx, size, root) in enumerate(zip(rows, sizes, roots)):
         top, label = np.unique(np.arange(size) if root is None else root, return_inverse=True)
@@ -339,7 +344,7 @@ def _merge(weights, kets, outs, rows, groups, shares):
         take[row, : len(top)] = top
         new_w[row, : len(top)] = total
     at = np.arange(len(rows))[:, None], take
-    return new_w, kets[at], outs[at]
+    return new_w, kets[at], tops[at], outs[at]
 
 
 def _pauli_path(ch: Channel, ent_dims: tuple[int, int] | None) -> bool:
@@ -386,10 +391,17 @@ def _iterate(
 
     Each iteration takes the mutual information and ascent operators of
     all starts from one eigh of their outputs and averages together.
-    It updates them with one eigvalsh of the dual images, whose top kets
-    then come by inverse iteration from the current kets, one solve for
-    most rows (eigh only for a row with no gap below its top), and one
-    apply of the new states, whose outputs the next iteration reuses.  A
+    It updates them with the top kets of the dual images (`_top_kets`)
+    and one apply of the new states, whose outputs the next iteration
+    reuses.  Each ket row carries the coordinates of its last dual image
+    and bounds on that image's second and least eigenvalues (`tops`),
+    through every gather of the stack.  Where the image moved by well
+    under its gap since then, Weyl's and Temple's bounds certify the
+    row's current ket as a start, and the new ket comes by inverse
+    iteration with no eigenvalue computed: on 86-96 % of the row updates
+    after the first on the benchmark's products.  Every other row (all
+    of the first update) takes one eigvalsh of those rows, inverse
+    iteration, and eigh only for a row with no gap below its top.  A
     start that meets the stop rule (or `max_iters`) leaves the stack
     with its end, held unvalidated (`_Finish`); the others go on.  Starts
     never mix, so each end is the one the start would reach alone.
@@ -438,6 +450,9 @@ def _iterate(
     if ent_dims is not None:
         terms = _entanglement_terms(states, *ent_dims)
     pure = None  # the updated stack's kets or Pauli coordinates; until then `states`
+    # Each ket row's `_top_kets` record, filled by the first update; a NaN
+    # record certifies nothing.
+    tops = None if pauli else np.full((s, n, ch.dim_in**2 + 3), np.nan)
     rows = list(range(s))  # start index of each row still in the stack
     values: list[list[float]] = [[] for _ in rows]
     ents: list[list[float]] = [[] for _ in rows]
@@ -480,14 +495,16 @@ def _iterate(
             weights, phis = weights[keep], phis[keep]
             if pure is not None:
                 pure = pure[keep]
+            if tops is not None:
+                tops = tops[keep]
         states = None  # the initial stack, read only until the first update
         if pauli:
             weights, pure, outs = _pauli_ascend(op, weights, phis)
         else:  # the current kets, if any, are the warm starts
-            weights, pure, outs = _ascend(op, weights, phis, pure)
+            weights, pure, outs = _ascend(op, weights, phis, pure, tops)
         del phis
         if not pauli and k % MERGE_EVERY == 0:
-            weights, pure, outs = _merge(weights, pure, outs, rows, groups, shares)
+            weights, pure, tops, outs = _merge(weights, pure, tops, outs, rows, groups, shares)
         if ent_dims is not None:
             terms = _schmidt_terms(pure, *ent_dims)
     if pure is None:  # no update ran: the ends hold their initial matrices

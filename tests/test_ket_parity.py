@@ -1,11 +1,13 @@
 """The ket step's top kets by inverse iteration against a full eigh.
 
 `solver._ascend` takes the top ket of each dual image from
-`linalg._top_kets`: one eigvalsh, then inverse iteration, with eigh only
-for rows that have no gap below the top.  Here the same solves run once
-with `_top_kets` replaced by the last column of a full eigh, as the
-step took it before, and once as shipped, and must take the same
-iterations to the same numbers.
+`linalg._top_kets`, its one entry point for top kets: inverse iteration
+from the row's previous ket where Weyl's and Temple's bounds certify it,
+else one eigvalsh and inverse iteration, with eigh only for rows that
+have no gap below the top.  Here the same solves run once with
+`_top_kets` replaced by the last column of a full eigh, as the step took
+it before, and once as shipped, and must take the same iterations to the
+same numbers.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from numpy.testing import assert_allclose
 
 import qcap
 from qcap import Ensemble, SolverConfig
+from qcap.linalg import _herm_operators
 from support import (
     assert_same_runs,
     every_start,
@@ -38,12 +41,31 @@ TOL = 1e-12
 WEIGHT_TOL = 1e-10
 
 
-def eigh_top_kets(H, start):
-    return np.linalg.eigh(H)[1][..., -1]
+def refuse(*args, **kwargs):
+    pytest.fail("the reference run took a top ket around the patched `_top_kets`")
+
+
+def reference(solve):
+    # The solve with every top ket taken from a full eigh.  `_top_kets` must
+    # be the step's only way to a top ket: the run calls the patch once per
+    # update and makes no solve and no eigvalsh (none of these solves traces
+    # entanglement), so no second entry point can stand in for it.
+    calls = []
+
+    def eigh_top_kets(y, start, bounds):
+        calls.append(len(y))
+        return np.linalg.eigh(_herm_operators(y))[1][..., -1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "solve", refuse)
+        m.setattr(np.linalg, "eigvalsh", refuse)
+        results = patched(solve, _top_kets=eigh_top_kets)
+    assert len(calls) == max(r.iterations_used for r in results) - 1
+    return results
 
 
 def on_both(solve):
-    return patched(solve, _top_kets=eigh_top_kets), solve()
+    return reference(solve), solve()
 
 
 def solve_both(ch, cfg):
@@ -86,10 +108,10 @@ def test_qutrit_depolarizing_channel():
     tops = []
     top_kets = qcap.solver._top_kets
 
-    def recording(H, start):
-        w = np.linalg.eigvalsh(H)
+    def recording(y, start, bounds):
+        w = np.linalg.eigvalsh(_herm_operators(y))
         tops.append(w[:, -1] - w[:, -2] <= qcap.linalg.TOP_GAP_REL * np.abs(w).max(axis=1))
-        return top_kets(H, start)
+        return top_kets(y, start, bounds)
 
     patched(lambda: qcap.run(ch, init), _top_kets=recording)
     assert tops[0].tolist() == [True, False]

@@ -254,11 +254,26 @@ def test_hermitize_is_bit_identical_to_the_plain_formula(rng):
         assert np.array_equal(got, want)
 
 
-def top_kets_quietly(H, start=None):
+def coords_and_matrices(H):
+    # `_top_kets` reads a stack by its coordinates and rebuilds the matrices
+    # from them, which may round H's entries: its references take the
+    # rebuilt matrices.
+    y = qcap.linalg._herm_coords(H)
+    return y, qcap.linalg._herm_operators(y)
+
+
+def blank_record(y):
+    # A record that certifies nothing, so that every row takes the exact path.
+    return np.full((len(y), y.shape[1] + 3), np.nan)
+
+
+def top_kets_quietly(y, start=None, bounds=None):
     # Any floating-point warning, numpy's or Python's, fails the test.
+    if bounds is None:
+        bounds = blank_record(y)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _top_kets(H, start)
+        return _top_kets(y, start, bounds)
 
 
 def random_kets(rng, n, d):
@@ -266,10 +281,44 @@ def random_kets(rng, n, d):
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
+def spectra(rng, values):
+    # Matrices with the given (m, d) spectra in random unitary bases.
+    m, d = values.shape
+    G = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    U = np.linalg.qr(G)[0]
+    return (U * values[:, None, :]) @ U.conj().swapaxes(1, 2)
+
+
+def counting_eigvalsh(monkeypatch):
+    # The number of rows of every stack handed to eigvalsh, call by call.
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(H):
+        rows.append(len(H))
+        return eigvalsh(H)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return rows
+
+
+def assert_bounds_hold(y, bounds):
+    # The record names y, bounds each row's second eigenvalue from above
+    # and holds its least.
+    dd = y.shape[1]
+    w = np.linalg.eigvalsh(qcap.linalg._herm_operators(y))
+    slack = 1e-13 * np.abs(w).max(axis=1)
+    assert np.array_equal(bounds[:, :dd], y)
+    assert np.all(bounds[:, dd] >= w[:, -2] - slack)
+    assert np.all(bounds[:, dd + 1] <= w[:, 0] + slack)
+    assert np.all(bounds[:, dd + 2] >= w[:, 0] - slack)
+
+
 class TestTopKets:
-    def check_against_eigh(self, H, start=None):
+    def check_against_eigh(self, H, start=None, bounds=None):
         # Returns the mask of rows whose top eigenvalue has a gap.
-        kets = top_kets_quietly(H, start)
+        y, H = coords_and_matrices(H)
+        kets = top_kets_quietly(y, start, bounds)
         w, V = np.linalg.eigh(H)
         ref = V[..., -1]
         radius = np.abs(w).max(axis=1)
@@ -289,21 +338,33 @@ class TestTopKets:
         assert np.array_equal(kets[~gapped], ref[~gapped])
         return gapped
 
+    def record(self, H):
+        # The record a first call leaves for the stack H.
+        y, _ = coords_and_matrices(H)
+        bounds = blank_record(y)
+        top_kets_quietly(y, None, bounds)
+        return bounds
+
     @pytest.mark.parametrize("d", [2, 3, 9, 16])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
     def test_random_stacks(self, rng, d, scale):
         assert self.check_against_eigh(random_hermitians(rng, 64, d, scale)).all()
 
     def test_dimension_one(self, rng):
-        H = random_hermitians(rng, 5, 1)
-        kets = top_kets_quietly(H)
-        assert np.array_equal(kets, np.linalg.eigh(H)[1][..., -1])
-        assert np.array_equal(kets, np.ones((5, 1)))
+        y, H = coords_and_matrices(random_hermitians(rng, 5, 1))
+        for start in (None, np.ones((5, 1), dtype=complex)):
+            kets = top_kets_quietly(y, start)
+            assert np.array_equal(kets, np.linalg.eigh(H)[1][..., -1])
+            assert np.array_equal(kets, np.ones((5, 1)))
 
     def test_multiples_of_the_identity_take_the_last_basis_ket(self):
         H = np.array([c * np.eye(3) for c in (2.5, -1.0, 0.0)], dtype=complex)
         assert not self.check_against_eigh(H).any()
-        assert np.array_equal(top_kets_quietly(H), np.tile([0, 0, 1.0 + 0j], (3, 1)))
+        y, _ = coords_and_matrices(H)
+        assert np.array_equal(top_kets_quietly(y), np.tile([0, 0, 1.0 + 0j], (3, 1)))
+        # A warm call fails the gap gate on every row and takes eigh's ket too.
+        bounds = self.record(H)
+        assert not self.check_against_eigh(H, np.eye(3, dtype=complex), bounds).any()
 
     def test_repeated_top_eigenvalue_takes_eighs_ket(self, rng):
         U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
@@ -320,28 +381,43 @@ class TestTopKets:
                      dtype=complex)
         assert self.check_against_eigh(H).all()
         # The last row's gap of 1e-4 leaves `(7e-12 / 1e-4)^2` of the next ket.
-        assert_allclose(np.abs(top_kets_quietly(H)), np.eye(3)[[1, 2, 0]], rtol=0, atol=1e-14)
+        y, _ = coords_and_matrices(H)
+        assert_allclose(np.abs(top_kets_quietly(y)), np.eye(3)[[1, 2, 0]], rtol=0, atol=1e-14)
 
     def test_gapped_stack_needs_no_eigh(self, rng, monkeypatch):
-        H = random_hermitians(rng, 32, 9)
+        y, _ = coords_and_matrices(random_hermitians(rng, 32, 9))
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
-        top_kets_quietly(H)
+        top_kets_quietly(y)
 
     def test_untrusted_residuals_take_eighs_ket(self, rng, monkeypatch):
-        H = random_hermitians(rng, 16, 5)
+        y, H = coords_and_matrices(random_hermitians(rng, 16, 5))
+        start = np.linalg.eigh(H)[1][..., -1]
+        bounds = self.record(H)
         monkeypatch.setattr(qcap.linalg, "TOP_RESIDUAL_REL", 0.0)
-        assert np.array_equal(top_kets_quietly(H), np.linalg.eigh(H)[1][..., -1])
+        for start, bounds in ((None, None), (start, bounds)):
+            assert np.array_equal(top_kets_quietly(y, start, bounds), np.linalg.eigh(H)[1][..., -1])
+
+    def warm_near_the_top(self, rng, d, eps, certify):
+        # A start off the top ket by eps takes one step when that meets the
+        # warm gate, and more when it does not; either way the ket must be
+        # as near eigh's as a cold one.  Without a record every row takes
+        # the exact path; with the record of an earlier call on the same
+        # matrices, the certificate takes every row it can.
+        H = random_hermitians(rng, 64, d)
+        start = np.linalg.eigh(H)[1][..., -1] + eps * random_kets(rng, 64, d)
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        bounds = self.record(H) if certify else None
+        assert self.check_against_eigh(H, start, bounds).all()
 
     @pytest.mark.parametrize("d", [2, 3, 9, 16])
     @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-3, 1e-8])
     def test_warm_starts_near_the_top(self, rng, d, eps):
-        # A start off the top ket by eps takes one step when that meets the
-        # warm gate, a second when it does not; either way the ket must be
-        # as near eigh's as a cold one.
-        H = random_hermitians(rng, 64, d)
-        start = np.linalg.eigh(H)[1][..., -1] + eps * random_kets(rng, 64, d)
-        start /= np.linalg.norm(start, axis=1, keepdims=True)
-        assert self.check_against_eigh(H, start).all()
+        self.warm_near_the_top(rng, d, eps, certify=False)
+
+    @pytest.mark.parametrize("d", [2, 3, 9, 16])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-3, 1e-8])
+    def test_certified_warm_starts_near_the_top(self, rng, d, eps):
+        self.warm_near_the_top(rng, d, eps, certify=True)
 
     @pytest.mark.parametrize("d", [2, 3, 9, 16])
     def test_warm_start_orthogonal_to_the_top(self, rng, d):
@@ -351,9 +427,19 @@ class TestTopKets:
         H = random_hermitians(rng, 64, d)
         assert self.check_against_eigh(H, np.linalg.eigh(H)[1][..., -2]).all()
 
-    def test_start_at_the_top_takes_one_solve(self, rng, monkeypatch):
+    @pytest.mark.parametrize("d", [2, 3, 9, 16])
+    def test_certified_warm_start_orthogonal_to_the_top(self, rng, d):
+        # Its Rayleigh quotient is the second eigenvalue, so the
+        # certificate's gap gate sends every row to the exact path.
+        H = random_hermitians(rng, 64, d)
+        bounds = self.record(H)
+        assert self.check_against_eigh(H, np.linalg.eigh(H)[1][..., -2], bounds).all()
+
+    def start_at_the_top(self, rng, monkeypatch, certify):
+        # The solves and the eigvalsh rows of a call from eigh's top kets.
         H = random_hermitians(rng, 64, 9)
         start = np.linalg.eigh(H)[1][..., -1]
+        bounds = self.record(H) if certify else None
         calls = []
         solve = np.linalg.solve
 
@@ -362,5 +448,88 @@ class TestTopKets:
             return solve(A, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        assert self.check_against_eigh(H, start).all()
-        assert calls == [64]
+        eigvalsh_rows = counting_eigvalsh(monkeypatch)
+        assert self.check_against_eigh(H, start, bounds).all()
+        return calls, eigvalsh_rows
+
+    def test_start_at_the_top_takes_one_solve(self, rng, monkeypatch):
+        assert self.start_at_the_top(rng, monkeypatch, certify=False) == ([64], [64])
+
+    def test_certified_start_at_the_top_takes_one_solve_and_no_eigvalsh(self, rng, monkeypatch):
+        assert self.start_at_the_top(rng, monkeypatch, certify=True) == ([64], [])
+
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_small_change_is_certified(self, rng, monkeypatch, d):
+        # Each row moves by a quarter of its gap at most: the certificate
+        # takes every row, no row reaches eigvalsh, and every ket is eigh's.
+        values = np.sort(rng.uniform(-2.0, 2.0, (32, d)), axis=1)
+        values[:, -1] = values[:, -2] + rng.uniform(0.05, 1.0, 32)
+        H0 = spectra(rng, values)
+        y0, _ = coords_and_matrices(H0)
+        bounds = blank_record(y0)
+        start = top_kets_quietly(y0, None, bounds)
+        gap = values[:, -1] - values[:, -2]
+        step = random_hermitians(rng, 32, d)
+        step *= (gap / 4.5 / np.linalg.norm(step, axis=(1, 2)))[:, None, None]
+        y1, H1 = coords_and_matrices(H0 + step)
+        rows = counting_eigvalsh(monkeypatch)
+        kets = top_kets_quietly(y1, start, bounds)
+        assert rows == []
+        monkeypatch.undo()
+        ref = np.linalg.eigh(H1)[1][..., -1]
+        overlap = np.einsum("ma,ma->m", ref.conj(), kets)
+        assert_allclose(kets, ref * (overlap / np.abs(overlap))[:, None], rtol=0, atol=1e-12)
+        assert_bounds_hold(y1, bounds)
+
+    def test_eigenvalue_crossing_takes_the_new_top(self, rng):
+        # Between the calls the top and second eigenvalues of each row swap:
+        # the old top ket is now an exact eigenvector of the second
+        # eigenvalue, with no residual, and only the Weyl bound on that
+        # eigenvalue (`beta' + E`, above its Rayleigh quotient) stops the
+        # certificate from keeping it.
+        U = np.linalg.qr(rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4)))[0]
+        before = (U * np.array([3.0, 2.0, 1.0, 0.5])) @ U.conj().swapaxes(1, 2)
+        after = (U * np.array([2.5, 3.0, 1.0, 0.5])) @ U.conj().swapaxes(1, 2)
+        y0, _ = coords_and_matrices(before)
+        bounds = blank_record(y0)
+        start = top_kets_quietly(y0, None, bounds)
+        overlap = np.abs(np.einsum("ma,ma->m", U[:, :, 0].conj(), start))
+        assert_allclose(overlap, 1.0, rtol=0, atol=1e-12)
+        # eigh's top ket of `after` is the second column of U.
+        assert self.check_against_eigh(after, start, bounds).all()
+
+    def test_non_finite_row_takes_the_exact_path(self, rng, monkeypatch):
+        # A NaN row fails every gate of the certificate: it alone reaches
+        # eigvalsh, whose LAPACK call refuses it as it would have before.
+        H = random_hermitians(rng, 6, 4)
+        y, _ = coords_and_matrices(H)
+        bounds = blank_record(y)
+        start = _top_kets(y, None, bounds)
+        y[3] = np.nan
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(M):
+            seen.append(M.copy())
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        with pytest.raises(np.linalg.LinAlgError):
+            _top_kets(y, start, bounds)
+        assert len(seen) == 1 and len(seen[0]) == 1
+        assert np.isnan(seen[0]).all()
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_record_bounds_every_spectrum_along_a_drift(self, rng, d):
+        # Calls on a stack that drifts by steps of every size: after each,
+        # whichever path a row took, its record names its image and bounds
+        # its second and least eigenvalues.
+        H = random_hermitians(rng, 48, d)
+        y, _ = coords_and_matrices(H)
+        bounds = blank_record(y)
+        kets = top_kets_quietly(y, None, bounds)
+        for size in (1e-9, 1e-4, 1e-2, 1e-1, 1.0, 1e-6):
+            H = H + size * random_hermitians(rng, 48, d)
+            y, _ = coords_and_matrices(H)
+            kets = top_kets_quietly(y, kets, bounds)
+            assert_bounds_hold(y, bounds)

@@ -8,6 +8,8 @@ ran before, and once as shipped, and must take the same iterations to
 the same numbers.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,20 +30,35 @@ TOL = 1e-12
 WEIGHT_TOL = 1e-10
 
 
-def no_merge(weights, kets, outs, *bookkeeping):
-    return weights, kets, outs
+def no_merge(weights, kets, tops, outs, rows, groups, shares):
+    return weights, kets, tops, outs
+
+
+def recording_ascend(seen):
+    # `_ascend`, recording the row count of every stack it takes in `seen`.
+    ascend = qcap.solver._ascend
+
+    def recording(R, weights, phis, kets, tops):
+        seen.append(weights.shape[1])
+        return ascend(R, weights, phis, kets, tops)
+
+    return recording
 
 
 def widths(solve):
     # The solve's result, and the row count of every stack `_ascend` took.
     seen = []
-    ascend = qcap.solver._ascend
+    return patched(solve, _ascend=recording_ascend(seen)), seen
 
-    def recording(ch, weights, phis, kets):
-        seen.append(weights.shape[1])
-        return ascend(ch, weights, phis, kets)
 
-    return patched(solve, _ascend=recording), seen
+def test_patches_keep_the_real_signatures():
+    # A patch that took `*args` would run whatever the step passed it, and
+    # one that dropped a stack would hand the step back the wrong arrays.
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(no_merge) == names(qcap.solver._merge)
+    assert names(recording_ascend([])) == names(qcap.solver._ascend)
 
 
 def solve_both(ch, cfg, ent_dims=None):

@@ -379,10 +379,16 @@ class TestRun:
 
     @pytest.mark.parametrize("ent, per_iter", [(False, 2), (True, 3)])
     def test_eigendecompositions_per_iteration(self, monkeypatch, ent, per_iter):
-        # One eigh, of the outputs and their averages together, and one
-        # eigvalsh of the dual images, whose top kets then come by inverse
-        # iteration; plus, for the traced entanglement, one eigvalsh of each
-        # updated stack's smaller marginals.
+        # An iteration makes one eigh, of the outputs and their averages
+        # together; one eigvalsh if its update has a row the certificate of
+        # `_top_kets` leaves to the exact path; and, for the traced
+        # entanglement, one eigvalsh of the updated stack's smaller
+        # marginals: `per_iter` in all, one less on an update the certificate
+        # takes whole.  Here the first update (which has no warm kets) and
+        # updates 2-4 and 6-8 leave rows to the exact path; from the 9th of
+        # 39 on the certificate takes every row.  The last iteration makes no
+        # update, and the initial states' entanglement takes the general
+        # form's three eigvalsh.
         ch = product("gamma2", "gamma4")
         dims = (2, 2) if ent else None
         calls = {"eigh": 0, "eigvalsh": 0}
@@ -396,21 +402,69 @@ class TestRun:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        updates = []  # per update, the eigvalsh calls its top kets made
+        top_kets = qcap.solver._top_kets
 
-        def count(iters):
-            for name in calls:
-                calls[name] = 0
-            init = initial_ensemble(4, 16, 0, 0)
-            run(ch, init, SolverConfig(max_iters=iters), ent_dims=dims)
-            return dict(calls)
+        def recording(y, start, bounds):
+            before = calls["eigvalsh"]
+            kets = top_kets(y, start, bounds)
+            updates.append(calls["eigvalsh"] - before)
+            return kets
 
-        five, six = count(5), count(6)
-        assert six["eigh"] - five["eigh"] == 1
-        assert six["eigvalsh"] - five["eigvalsh"] == per_iter - 1
-        # The last iteration makes no update (four updates in five
-        # iterations), and the initial states' entanglement takes the
-        # general form's three eigvalsh.
-        assert five == {"eigh": 5, "eigvalsh": (4 + 4 + 3) if ent else 4}
+        monkeypatch.setattr(qcap.solver, "_top_kets", recording)
+        res = run(ch, initial_ensemble(4, 16, 0, 0), ent_dims=dims)
+        assert res.converged and res.iterations_used == 40
+        assert len(updates) == 39
+        assert [k + 1 for k, n in enumerate(updates) if n] == [1, 2, 3, 4, 6, 7, 8]
+        assert max(updates) == 1
+        assert calls == {"eigh": 40, "eigvalsh": 7 + (3 + 39 if ent else 0)}
+        assert sum(calls.values()) == 7 * per_iter + 32 * (per_iter - 1) + 1 + (3 if ent else 0)
+
+    def test_certificate_takes_most_row_updates(self, monkeypatch, capsys):
+        # `qcap additivity --lhs gamma2 --rhs gamma4 --seed 3`: of the product
+        # solve's row updates after the first, the certificate of `_top_kets`
+        # takes at least 85 % with no eigvalsh (96.7 % as shipped), and no
+        # update after the fifth sends more than a fifth of its rows to
+        # eigvalsh (7.5 % at most as shipped).  Here four starts leave the
+        # stack while others go on and a merge shrinks it, so a record dropped
+        # or misplaced where the stack is gathered (`keep`, `_merge`) sends
+        # the next update's rows to eigvalsh and fails it.
+        warm = []  # per warm update: its rows, and those it sent to eigvalsh
+        eigvalsh = np.linalg.eigvalsh
+        top_kets = qcap.solver._top_kets
+        merge = qcap.solver._merge
+        shrunk = []
+
+        def recording(y, start, bounds):
+            if start is None:
+                return top_kets(y, start, bounds)
+            sent = []
+
+            def counting(H):
+                sent.append(len(H))
+                return eigvalsh(H)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(np.linalg, "eigvalsh", counting)
+                kets = top_kets(y, start, bounds)
+            warm.append((len(y), sum(sent)))
+            return kets
+
+        def merging(weights, kets, tops, outs, rows, groups, shares):
+            ends = merge(weights, kets, tops, outs, rows, groups, shares)
+            shrunk.append(ends[1].shape[1] < kets.shape[1])
+            return ends
+
+        monkeypatch.setattr(qcap.solver, "_top_kets", recording)
+        monkeypatch.setattr(qcap.solver, "_merge", merging)
+        argv = ["additivity", "--lhs", "gamma2", "--rhs", "gamma4", "--seed", "3"]
+        assert qcap.cli.main(argv) == 0
+        capsys.readouterr()
+        sizes = [rows for rows, _ in warm]
+        assert any(shrunk) and sorted(set(sizes)) == [15, 16, 32, 48, 64, 80]
+        rows, exact = np.sum(warm, axis=0)
+        assert 1 - exact / rows >= 0.85
+        assert max(sent / rows for rows, sent in warm[4:]) <= 0.2
 
     @pytest.mark.parametrize("name", ["gamma1", "gamma3"])
     def test_qubit_map_needs_no_eigendecomposition(self, monkeypatch, name):
